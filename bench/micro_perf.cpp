@@ -177,7 +177,7 @@ void BM_DetectorScan(benchmark::State& state) {
     benchmark::DoNotOptimize(detector.scan(payload));
   }
 }
-BENCHMARK(BM_DetectorScan)->Arg(2)->Arg(8);
+BENCHMARK(BM_DetectorScan)->Arg(2)->Arg(8)->Arg(65);
 
 void BM_PrivacyAnalysis(benchmark::State& state) {
   // The heaviest realistic payload: every data type leaked.
@@ -261,7 +261,11 @@ void BM_CorpusThroughput(benchmark::State& state) {
                           static_cast<std::int64_t>(corpus.apps.size()));
   state.SetLabel("apps/s; jobs=" + std::to_string(state.range(0)));
 }
-BENCHMARK(BM_CorpusThroughput)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CorpusThroughput)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Write-ahead journal overhead (docs/CHECKPOINT.md): the same corpus run
 // with journaling off (Arg 0) and on (Arg 1). The acceptance bar is <5%
@@ -357,7 +361,8 @@ BENCHMARK(BM_IsolationOverhead)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Sharded corpus merge (docs/SHARDING.md): Arg shard journals are produced
 // once outside the timed region (N shard runs, each journaling its residue

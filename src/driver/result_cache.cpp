@@ -158,7 +158,7 @@ support::Result<ResultCache> ResultCache::open(
     std::lock_guard<std::mutex> lock(*cache.mutex_);
     cache.evict_past_bounds_locked();
   }
-  return std::move(cache);
+  return cache;
 }
 
 ResultCache::~ResultCache() {

@@ -3,6 +3,8 @@
 // each exercised from real bytecode.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "dex/builder.hpp"
 #include "os/device.hpp"
 #include "vm/vm.hpp"
@@ -144,6 +146,17 @@ struct SourceCase {
   const char* method;
 };
 
+// gtest would otherwise print a case as raw pointer bytes, which ASLR
+// changes on every run — and ctest names each case after that printout.
+// Print "SimpleClass.method" instead, short enough to stay a stable name.
+std::string_view simple_name(std::string_view cls) {
+  return cls.substr(cls.rfind('.') + 1);
+}
+
+void PrintTo(const SourceCase& c, std::ostream* os) {
+  *os << simple_name(c.cls) << '.' << c.method;
+}
+
 class SourceTest : public FrameworkTest,
                    public ::testing::WithParamInterface<SourceCase> {};
 
@@ -187,6 +200,10 @@ struct EventCase {
   const char* method;
   const char* event;
 };
+
+void PrintTo(const EventCase& c, std::ostream* os) {
+  *os << simple_name(c.cls) << '.' << c.method << ':' << c.event;
+}
 
 class SinkEventTest : public FrameworkTest,
                       public ::testing::WithParamInterface<EventCase> {};
