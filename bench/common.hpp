@@ -4,7 +4,8 @@
 // Scale via DYDROID_SCALE (default 0.05 = ~2,937 apps); worker count via
 // DYDROID_JOBS (default: hardware concurrency); Chrome trace of the run
 // via DYDROID_TRACE=out.json (docs/OBSERVABILITY.md); fork-per-app
-// sandboxing via DYDROID_ISOLATE=1 (docs/ISOLATION.md).
+// sandboxing via DYDROID_ISOLATE=1, persistent sandbox workers via
+// DYDROID_ISOLATE=pool (docs/ISOLATION.md).
 #pragma once
 
 #include <cstdio>

@@ -327,12 +327,12 @@ void BM_CacheWarm(benchmark::State& state) {
 BENCHMARK(BM_CacheWarm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Process isolation (docs/ISOLATION.md): the same corpus run in-thread
-// (Arg 0), with every app forked into a fresh sandboxed child (Arg 1), and
-// on the persistent worker pool (Arg 2). The fork-mode delta is pure
-// containment cost — fork, pipe shipment of the encoded outcome, and reap —
-// while the pool amortizes the fork across the worker's lifetime and pays
-// only the per-app RPC. Clean children produce byte-identical reports in
-// every mode.
+// (Arg 0), with every app in a fresh sandboxed child — the worker pool
+// recycled after every app (Arg 1) — and on persistent pool workers
+// (Arg 2). The fork-per-app delta is pure containment cost — fork, framed
+// RPC, EOF shutdown and reap per app — while persistent workers amortize
+// the fork across their lifetime and pay only the per-app RPC. Clean
+// children produce byte-identical reports in every mode.
 void BM_IsolationOverhead(benchmark::State& state) {
   support::set_log_level(support::LogLevel::Error);
   appgen::CorpusConfig config;
@@ -341,21 +341,19 @@ void BM_IsolationOverhead(benchmark::State& state) {
   const core::DyDroid pipeline{core::PipelineOptions{}};
   driver::RunnerConfig runner_config;
   runner_config.jobs = 1;
-  runner_config.isolation_mode = static_cast<driver::IsolationMode>(
-      static_cast<std::uint8_t>(state.range(0)));
+  if (state.range(0) > 0) {
+    runner_config.isolation_mode = driver::IsolationMode::kPool;
+    runner_config.pool_recycle_apps = state.range(0) == 1 ? 1 : 0;
+  }
   const driver::CorpusRunner runner(pipeline, runner_config);
   for (auto _ : state) {
     benchmark::DoNotOptimize(runner.run(corpus));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(corpus.apps.size()));
-  switch (runner_config.isolation_mode) {
-    case driver::IsolationMode::kOff: state.SetLabel("isolate=off"); break;
-    case driver::IsolationMode::kForkPerApp:
-      state.SetLabel("isolate=fork");
-      break;
-    case driver::IsolationMode::kPool: state.SetLabel("isolate=pool"); break;
-  }
+  static constexpr const char* kLabels[] = {"isolate=off", "isolate=fork",
+                                            "isolate=pool"};
+  state.SetLabel(kLabels[state.range(0)]);
 }
 BENCHMARK(BM_IsolationOverhead)
     ->Arg(0)
@@ -461,13 +459,14 @@ void emit_corpus_bench_json() {
           : 0.0;
 
   // Process isolation (docs/ISOLATION.md): same corpus, every app in a
-  // sandboxed child. Fork-per-app pays fork + pipe + reap per app; the
-  // worker pool forks once per runner thread and pays only a framed RPC
-  // per app. Both best-of-3 against the best serial run, same as the
-  // journal A/B.
+  // sandboxed child. Fork-per-app (the pool recycled after every app) pays
+  // fork + RPC + shutdown + reap per app; persistent workers fork once per
+  // runner thread and pay only a framed RPC per app. Both best-of-3
+  // against the best serial run, same as the journal A/B.
   driver::RunnerConfig isolate_config;
   isolate_config.jobs = 1;
-  isolate_config.isolation_mode = driver::IsolationMode::kForkPerApp;
+  isolate_config.isolation_mode = driver::IsolationMode::kPool;
+  isolate_config.pool_recycle_apps = 1;
   auto isolated = driver::CorpusRunner(pipeline, isolate_config).run(corpus);
   for (int rep = 1; rep < 3; ++rep) {
     auto isolate_rep =

@@ -19,7 +19,6 @@
 #include "support/log.hpp"
 #include "support/stopwatch.hpp"
 #include "support/strings.hpp"
-#include "support/subprocess.hpp"
 #include "support/trace.hpp"
 #include "support/worker_pool.hpp"
 
@@ -32,27 +31,28 @@ namespace {
 /// runner's seed base.
 constexpr std::uint64_t kDriverFaultSalt = 0xD21BE9u;
 
-/// Salt for the per-app *sandbox* fault session (sandbox.spawn /
-/// sandbox.pipe / sandbox.crash): supervisor-side decisions draw from a
-/// stream derived from the app seed + attempt but distinct from the
-/// pipeline's in-child per-app session, so arming sandbox sites never
-/// perturbs the analysis itself.
+/// Salt for the per-app *sandbox* fault session (sandbox.crash and the
+/// sandbox.pool.* sites): supervisor-side decisions draw from a stream
+/// derived from the app seed + attempt but distinct from the pipeline's
+/// in-child per-app session, so arming sandbox sites never perturbs the
+/// analysis itself.
 constexpr std::uint64_t kSandboxFaultSalt = 0x5ABD0Cull;
 
 /// When RunnerConfig::sandbox_deadline_ms is unset, the kill budget is a
 /// generous multiple of the pipeline's per-attempt wall budget: plenty of
-/// slack for fork + pipe overhead on a healthy app, still a hard bound on
-/// a hung one.
+/// slack for RPC overhead on a healthy app, still a hard bound on a hung
+/// one.
 constexpr double kSandboxDeadlineSlack = 10.0;
 constexpr double kSandboxDeadlinePadMs = 1000.0;
 
 /// A child SIGKILLed by neither our deadline supervisor is either the
 /// kernel OOM killer or an unrelated external kill (a chaos harness, an
 /// operator). The two are indistinguishable from the parent, so the
-/// supervisor transparently respawns the attempt a bounded number of
-/// times: a genuine memory hog dies again immediately (and is then
-/// classified killed_oom), while a randomly kill -9'd child just re-runs —
-/// which is what keeps tools/run_isolation_matrix.sh's summaries golden.
+/// supervisor transparently re-dispatches the attempt to a fresh worker a
+/// bounded number of times: a genuine memory hog dies again immediately
+/// (and is then classified killed_oom), while a randomly kill -9'd child
+/// just re-runs — which is what keeps tools/run_isolation_matrix.sh's
+/// summaries golden.
 constexpr int kExternalKillRespawns = 2;
 
 /// Narrow a global corpus index into the u32 trace-context field. The
@@ -503,171 +503,17 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
                        kSandboxDeadlinePadMs
                  : 0.0);
 
-  /// One sandboxed attempt: fork a child that runs the *identical*
-  /// run_attempt machinery (same seeds, same per-app fault session, same
-  /// crash-conversion belt — which is what makes clean exits byte-identical
-  /// to thread mode) and ships the encoded outcome back as one
-  /// magic-stamped CRC frame; the supervisor enforces the limits and
-  /// classifies whatever comes back. Returns the same "failed" predicate
-  /// run_attempt feeds the retry policy.
-  const auto sandbox_attempt = [&](const AppJob& job, AppOutcome& outcome,
-                                   std::uint32_t attempt, std::size_t index,
-                                   std::size_t worker_id) -> bool {
-    outcome.attempts = attempt + 1;
-    // The fate reflects the *final* attempt: a kill on attempt 0 that
-    // clears on the retry leaves the app clean, like any transient crash.
-    outcome.sandbox_fate = SandboxFate::kNone;
-    outcome.fatal_signal = 0;
-
-    const support::TraceContextScope trace_context(
-        trace_app_id(index), attempt, static_cast<std::uint32_t>(worker_id));
-
-    // Supervisor-side sandbox fault session (sandbox.spawn / sandbox.pipe /
-    // sandbox.crash): deterministic in (app seed, attempt), separate from
-    // the pipeline's per-app session inside the child.
-    std::optional<support::FaultSession> sandbox_faults;
-    std::optional<support::FaultScope> sandbox_scope;
-    if (options.faults != nullptr && !options.faults->empty()) {
-      sandbox_faults.emplace(
-          *options.faults,
-          support::fault_session_seed(outcome.seed ^ kSandboxFaultSalt,
-                                      attempt));
-      sandbox_scope.emplace(&*sandbox_faults);
-    }
-    // Drawn pre-fork so the decision is deterministic in the parent's
-    // stream; *executed* in the child as a real abort, so the injected
-    // crash exercises genuine signal-death classification end to end.
-    const bool crash_child =
-        support::fault_fire(support::FaultSite::kSandboxCrash);
-
-    support::SubprocessLimits limits;
-    limits.max_memory_bytes = config_.sandbox_mem_limit_bytes;
-    limits.cpu_time_s = config_.sandbox_cpu_limit_s;
-    limits.wall_deadline_ms = sandbox_deadline_ms;
-
-    const auto child_body = [&](int write_fd) -> int {
-      if (crash_child) std::abort();
-      AppOutcome child_outcome;
-      child_outcome.seed = outcome.seed;
-      (void)run_attempt(job, child_outcome, attempt, index, worker_id);
-      const support::Bytes stream =
-          encode_sandbox_result(index, child_outcome);
-      return support::write_fully(write_fd, stream.data(), stream.size()) ? 0
-                                                                          : 3;
-    };
-
-    // Accumulate the attempt's wall time (fork + analysis + reap) on every
-    // exit path, mirroring run_attempt's WallGuard.
-    const support::Stopwatch attempt_clock;
-    struct AttemptWall {
-      const support::Stopwatch* clock;
-      double* into;
-      ~AttemptWall() { *into += clock->elapsed_ms(); }
-    } wall_guard{&attempt_clock, &outcome.wall_ms};
-
-    /// Resolve a sandbox-killed/crashed attempt: synthesized crash report,
-    /// classified fate, fatal signal recorded. Always "failed".
-    const auto synthesize = [&](SandboxFate fate, int signal,
-                                std::string message) {
-      outcome.report = core::AppReport{};
-      outcome.report.status = core::DynamicStatus::kCrash;
-      outcome.report.crash_message = std::move(message);
-      outcome.sandbox_fate = fate;
-      outcome.fatal_signal = static_cast<std::uint8_t>(signal);
-      if (fate == SandboxFate::kTimedOut) outcome.timed_out = true;
-      support::count(fate == SandboxFate::kCrashed ? "sandbox.crashed"
-                                                   : "sandbox.killed");
-      return true;
-    };
-
-    for (int respawn = 0;; ++respawn) {
-      auto spawned = [&]() -> support::Result<support::Subprocess> {
-        const support::Span spawn_span("sandbox", "spawn");
-        if (support::fault_fire(support::FaultSite::kSandboxSpawn)) {
-          return support::Result<support::Subprocess>::failure(
-              support::fault_message(support::FaultSite::kSandboxSpawn));
-        }
-        return support::Subprocess::spawn(child_body, limits);
-      }();
-      if (!spawned.ok()) {
-        return synthesize(SandboxFate::kCrashed, 0,
-                          "sandbox: spawn failed: " + spawned.error());
-      }
-      support::SubprocessResult waited;
-      {
-        const support::Span wait_span("sandbox", "wait");
-        support::Subprocess child = std::move(spawned).take();
-        waited = child.wait();
-      }
-      if (waited.deadline_killed) {
-        return synthesize(
-            SandboxFate::kTimedOut, SIGKILL,
-            support::format(
-                "sandbox: killed after exceeding the %.0f ms wall deadline",
-                sandbox_deadline_ms));
-      }
-      if (waited.exited && waited.exit_code == support::kOomExitCode) {
-        return synthesize(SandboxFate::kOomKilled, 0,
-                          "sandbox: allocation failed under the memory limit");
-      }
-      if (!waited.exited && waited.term_signal == SIGKILL) {
-        // A SIGKILL that is not ours: the kernel OOM killer or an external
-        // kill, indistinguishable from here (see kExternalKillRespawns).
-        if (respawn < kExternalKillRespawns) {
-          support::count("sandbox.respawned");
-          continue;
-        }
-        return synthesize(SandboxFate::kOomKilled, SIGKILL,
-                          "sandbox: child SIGKILLed repeatedly "
-                          "(kernel out-of-memory kill)");
-      }
-      if (!waited.exited) {
-        return synthesize(SandboxFate::kCrashed, waited.term_signal,
-                          support::format("sandbox: child died on signal %d",
-                                          waited.term_signal));
-      }
-      if (waited.exit_code != 0) {
-        return synthesize(
-            SandboxFate::kCrashed, 0,
-            support::format("sandbox: child exited with code %d",
-                            waited.exit_code));
-      }
-      // Clean exit: decode the shipped outcome, honoring the torn-pipe
-      // injection site (which simulates a frame damaged in transit).
-      auto decoded =
-          support::fault_fire(support::FaultSite::kSandboxPipe)
-              ? support::Result<DecodedOutcome>::failure(
-                    support::fault_message(support::FaultSite::kSandboxPipe))
-              : decode_sandbox_result(waited.output);
-      if (!decoded.ok()) {
-        return synthesize(SandboxFate::kCrashed, 0, decoded.error());
-      }
-      AppOutcome shipped = std::move(decoded.value().outcome);
-      if (decoded.value().index != index || shipped.seed != outcome.seed) {
-        return synthesize(SandboxFate::kCrashed, 0,
-                          "sandbox: result frame for the wrong app");
-      }
-      outcome.report = std::move(shipped.report);
-      if (shipped.timed_out) outcome.timed_out = true;
-      return shipped.timed_out ||
-             outcome.report.status == core::DynamicStatus::kCrash;
-    }
-  };
-
-  // --- persistent worker pool (docs/ISOLATION.md §3) -----------------------
-  // One long-lived forked child per driver thread, dispatched over a framed
-  // RPC pipe: the fork cost is amortized over every app the worker serves,
-  // while the per-attempt failure taxonomy (crash / OOM / deadline /
-  // external kill) classifies exactly as fork-per-app mode does. Ownership
-  // is strictly 1:1 — each thread only ever touches its own slot, so the
-  // vector needs no locks.
+  // One forked worker per driver thread, dispatched over a framed RPC pipe
+  // and recycled after pool_recycle_apps apps (1 = a fresh child per app).
+  // Ownership is strictly 1:1 — each thread only ever touches its own
+  // slot, so the vector needs no locks.
   std::vector<std::optional<support::PoolWorker>> pool_workers(
-      config_.isolation_mode == IsolationMode::kPool ? result.threads : 0);
+      config_.isolated() ? result.threads : 0);
 
   /// Child-side serve loop (runs in the forked worker): one framed request
-  /// per iteration, each running the *identical* run_attempt machinery the
-  /// thread and fork-per-app modes use — which is what keeps clean pool
-  /// outcomes byte-identical to both. EOF on the request pipe is the
+  /// per iteration, each running the *identical* run_attempt machinery
+  /// thread mode uses — which is what keeps clean sandboxed outcomes
+  /// byte-identical to it. EOF on the request pipe is the
   /// graceful-shutdown signal; any protocol damage exits loudly (a
   /// desynchronized stream cannot be resynchronized).
   const auto pool_serve = [&](int request_fd, int response_fd) -> int {
@@ -697,8 +543,8 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
       const PoolRequest& req = request.value();
       if (req.app_index >= jobs.size()) return 3;
       // The injected sandbox.crash decision is drawn in the supervisor
-      // (deterministically) and *executed* here as a real abort, exactly
-      // like the fork-per-app child.
+      // (deterministically) and *executed* here as a real abort, so it
+      // exercises genuine signal-death classification end to end.
       if (req.crash_child) std::abort();
       AppOutcome child_outcome;
       child_outcome.seed = req.seed;
@@ -713,22 +559,27 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
     }
   };
 
-  /// One pooled attempt: same preamble, fault sites, classification ladder
-  /// and synthesized messages as sandbox_attempt — only the mechanics of
-  /// reaching the child differ (a framed RPC instead of a fork). Worker
-  /// recycling (injected, after K apps, or on RSS growth) happens strictly
-  /// *between* attempts, so it can never change an outcome.
-  const auto pool_attempt = [&](const AppJob& /*job: child looks it up*/,
-                                AppOutcome& outcome, std::uint32_t attempt,
+  /// One sandboxed attempt: ship the dispatch tuple to this thread's worker
+  /// (forking one if the slot is empty), classify whatever comes back, and
+  /// return the same "failed" predicate run_attempt feeds the retry
+  /// policy. Worker recycling (injected, after K apps, or on RSS growth)
+  /// happens strictly *between* attempts, so it can never change an
+  /// outcome.
+  const auto pool_attempt = [&](AppOutcome& outcome, std::uint32_t attempt,
                                 std::size_t index,
                                 std::size_t worker_id) -> bool {
     outcome.attempts = attempt + 1;
+    // The fate reflects the *final* attempt: a kill on attempt 0 that
+    // clears on the retry leaves the app clean, like any transient crash.
     outcome.sandbox_fate = SandboxFate::kNone;
     outcome.fatal_signal = 0;
 
     const support::TraceContextScope trace_context(
         trace_app_id(index), attempt, static_cast<std::uint32_t>(worker_id));
 
+    // Supervisor-side sandbox fault session: deterministic in (app seed,
+    // attempt), separate from the pipeline's per-app session inside the
+    // child.
     std::optional<support::FaultSession> sandbox_faults;
     std::optional<support::FaultScope> sandbox_scope;
     if (options.faults != nullptr && !options.faults->empty()) {
@@ -738,14 +589,18 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
                                       attempt));
       sandbox_scope.emplace(&*sandbox_faults);
     }
+    // Drawn here so the decision is deterministic in the supervisor's
+    // stream; *executed* in the child as a real abort.
     const bool crash_child =
         support::fault_fire(support::FaultSite::kSandboxCrash);
 
-    support::SubprocessLimits limits;
+    support::WorkerLimits limits;
     limits.max_memory_bytes = config_.sandbox_mem_limit_bytes;
     limits.cpu_time_s = config_.sandbox_cpu_limit_s;
     limits.wall_deadline_ms = sandbox_deadline_ms;
 
+    // Accumulate the attempt's wall time (spawn + RPC + recycle) on every
+    // exit path, mirroring run_attempt's WallGuard.
     const support::Stopwatch attempt_clock;
     struct AttemptWall {
       const support::Stopwatch* clock;
@@ -753,6 +608,8 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
       ~AttemptWall() { *into += clock->elapsed_ms(); }
     } wall_guard{&attempt_clock, &outcome.wall_ms};
 
+    /// Resolve a sandbox-killed/crashed attempt: synthesized crash report,
+    /// classified fate, fatal signal recorded. Always "failed".
     const auto synthesize = [&](SandboxFate fate, int signal,
                                 std::string message) {
       outcome.report = core::AppReport{};
@@ -829,8 +686,8 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
         }
         if (!rpc.exited && rpc.term_signal == SIGKILL) {
           // A SIGKILL that is not ours: kernel OOM killer or an external
-          // kill. The in-flight app is transparently re-dispatched to a
-          // fresh worker, bounded exactly like fork mode's respawns.
+          // kill (see kExternalKillRespawns). The in-flight app is
+          // transparently re-dispatched to a fresh worker.
           if (respawn < kExternalKillRespawns) {
             support::count("sandbox.respawned");
             continue;
@@ -900,20 +757,13 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
     }
   };
 
-  /// Attempt dispatcher: the retry policy below is mode-blind; only the
-  /// mechanics of one attempt differ between the isolation modes.
+  /// Attempt dispatcher: the retry policy below is mode-blind.
   const auto one_attempt = [&](const AppJob& job, AppOutcome& outcome,
                                std::uint32_t attempt, std::size_t index,
                                std::size_t worker_id) {
-    switch (config_.isolation_mode) {
-      case IsolationMode::kForkPerApp:
-        return sandbox_attempt(job, outcome, attempt, index, worker_id);
-      case IsolationMode::kPool:
-        return pool_attempt(job, outcome, attempt, index, worker_id);
-      case IsolationMode::kOff:
-        break;
-    }
-    return run_attempt(job, outcome, attempt, index, worker_id);
+    return config_.isolated()
+               ? pool_attempt(outcome, attempt, index, worker_id)
+               : run_attempt(job, outcome, attempt, index, worker_id);
   };
 
   /// Full per-app policy: timeout + single-retry-then-quarantine
@@ -1085,8 +935,8 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
       process_app(jobs[index], outcome, index, worker_id);
       if (journal.has_value() && !journal_outcome(index, outcome)) break;
     }
-    // Retire this thread's pooled worker gracefully (EOF-driven exit) on
-    // every way out of the loop — corpus drained, graceful stop, abort.
+    // Retire this thread's worker gracefully (EOF-driven exit) on every
+    // way out of the loop — corpus drained, graceful stop, abort.
     if (worker_id < pool_workers.size() && pool_workers[worker_id]) {
       pool_workers[worker_id]->shutdown();
       pool_workers[worker_id].reset();

@@ -80,14 +80,12 @@ enum class IsolationMode : std::uint8_t {
   /// Thread mode: attempts run on the worker thread. Fastest; a wild
   /// crash in one app takes the whole driver down.
   kOff = 0,
-  /// One forked child per attempt (support::Subprocess): full containment,
-  /// but every app pays fork + pipe + waitpid.
-  kForkPerApp = 1,
-  /// One persistent forked child per worker thread (support::PoolWorker),
-  /// dispatched over a framed RPC pipe: the same containment and
-  /// crash/OOM/timeout classification at a fraction of the per-app cost —
-  /// one fork is amortized over every app the worker serves.
-  kPool = 2,
+  /// Attempts run in a forked child (support::PoolWorker), one per worker
+  /// thread, dispatched over a framed RPC pipe: crashes, OOMs and hangs
+  /// become classified outcomes instead of driver outages. The worker
+  /// lives until RunnerConfig::pool_recycle_apps apps have been served;
+  /// a budget of 1 is fork-per-app containment (a fresh child per app).
+  kPool = 1,
 };
 
 /// How the process sandbox disposed of an app's final attempt when
@@ -282,25 +280,24 @@ struct RunnerConfig {
   bool cache_fsync = false;
 
   // --- process-isolation sandbox (docs/ISOLATION.md) -----------------------
-  /// Containment for analysis attempts. kForkPerApp runs every attempt in
-  /// a fresh forked child; kPool dispatches attempts to one persistent
-  /// forked worker per thread over a framed RPC pipe. In both modes clean
-  /// exits decode to outcomes byte-identical to thread mode; signal
-  /// deaths, OOM kills and wall-deadline kills become classified,
-  /// quarantined crash outcomes instead of taking the driver down. Off by
-  /// default: thread mode is untouched.
+  /// Containment for analysis attempts. kPool dispatches attempts to one
+  /// forked worker per thread over a framed RPC pipe. Clean exits decode
+  /// to outcomes byte-identical to thread mode; signal deaths, OOM kills
+  /// and wall-deadline kills become classified, quarantined crash outcomes
+  /// instead of taking the driver down. Off by default: thread mode is
+  /// untouched.
   IsolationMode isolation_mode = IsolationMode::kOff;
-  /// True when any sandbox (fork-per-app or pool) is on.
+  /// True when the sandbox is on.
   [[nodiscard]] bool isolated() const {
     return isolation_mode != IsolationMode::kOff;
   }
-  /// Pool mode: retire a worker after it has served this many apps and
-  /// fork a fresh one (0 = never). Resets accumulated RLIMIT_CPU time and
-  /// heap growth; reports are unaffected — recycling happens between
-  /// attempts.
+  /// Retire a worker after it has served this many apps and fork a fresh
+  /// one (0 = never; 1 = a fresh child per app, i.e. fork-per-app). Resets
+  /// accumulated RLIMIT_CPU time and heap growth; reports are unaffected
+  /// — recycling happens between attempts.
   std::uint32_t pool_recycle_apps = 0;
-  /// Pool mode: retire a worker whose resident set grows past this many
-  /// bytes (0 = never). Checked between attempts via /proc/<pid>/statm.
+  /// Retire a worker whose resident set grows past this many bytes
+  /// (0 = never). Checked between attempts via /proc/<pid>/statm.
   std::uint64_t pool_recycle_rss_bytes = 0;
   /// Child RLIMIT_AS in bytes (0 = inherit). Must comfortably exceed the
   /// parent's footprint — the limit covers the whole forked image. Ignored

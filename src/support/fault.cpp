@@ -27,13 +27,15 @@ constexpr std::array<SiteName, kFaultSiteCount> kSiteNames = {{
     {FaultSite::kDriverKill, "driver.kill"},
     {FaultSite::kCacheRead, "cache.read"},
     {FaultSite::kCacheWrite, "cache.write"},
-    {FaultSite::kSandboxSpawn, "sandbox.spawn"},
-    {FaultSite::kSandboxPipe, "sandbox.pipe"},
     {FaultSite::kSandboxCrash, "sandbox.crash"},
     {FaultSite::kPoolSpawn, "sandbox.pool.spawn"},
     {FaultSite::kPoolRpc, "sandbox.pool.rpc"},
     {FaultSite::kPoolRecycle, "sandbox.pool.recycle"},
 }};
+
+static_assert(static_cast<std::size_t>(FaultSite::kPoolRecycle) + 1 ==
+                  kFaultSiteSlots,
+              "per-site tables must cover every site value");
 
 /// splitmix64-style avalanche; the decision function's mixing core.
 std::uint64_t mix64(std::uint64_t x) {

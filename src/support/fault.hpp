@@ -56,23 +56,28 @@ enum class FaultSite : std::uint8_t {
   kDriverKill,       // CorpusRunner checked boundary — driver dies mid-run
   kCacheRead,        // driver::ResultCache::lookup — read error, treat as miss
   kCacheWrite,       // driver::ResultCache::insert — write error, entry dropped
-  // Sandbox sites (docs/ISOLATION.md). spawn/pipe fire in the supervisor's
-  // per-app sandbox session (fork failure, torn result frame); crash fires
-  // in the *child*, which aborts so the supervisor classifies a real
-  // signal death.
-  kSandboxSpawn,     // CorpusRunner sandbox — fork fails, app quarantined
-  kSandboxPipe,      // sandbox result pipe — torn frame, recover + quarantine
-  kSandboxCrash,     // sandbox child — deterministic abort (signal death)
-  // Worker-pool sites (docs/ISOLATION.md §pool). All three fire in the
-  // supervisor's per-attempt sandbox session; spawn/rpc fail the attempt
-  // (quarantine), recycle forces a worker restart without touching the
-  // outcome — so recycling machinery is testable under the fault harness.
-  kPoolSpawn,        // pool worker (re)spawn fails, app quarantined
-  kPoolRpc,          // pool response treated as torn, recover + quarantine
-  kPoolRecycle,      // force-recycle the worker after a clean response
+  // Sandbox sites (docs/ISOLATION.md). The numeric values are pinned:
+  // decision_draw salts each site's stream with its value, so renumbering
+  // would silently change which apps a p: plan fates. 12 and 13 are
+  // retired and must not be reused.
+  //
+  // crash fires in the supervisor and is executed in the *child*, which
+  // aborts so the supervisor classifies a real signal death. The pool
+  // sites fire in the supervisor's per-attempt sandbox session; spawn/rpc
+  // fail the attempt (quarantine), recycle forces a worker restart without
+  // touching the outcome — so recycling is testable under the fault
+  // harness.
+  kSandboxCrash = 14,  // sandbox child — deterministic abort (signal death)
+  kPoolSpawn = 15,     // worker (re)spawn fails, app quarantined
+  kPoolRpc = 16,       // response treated as torn, recover + quarantine
+  kPoolRecycle = 17,   // force-recycle the worker after a clean response
 };
 
-inline constexpr std::size_t kFaultSiteCount = 18;
+/// Number of live sites (the catalog size).
+inline constexpr std::size_t kFaultSiteCount = 16;
+/// One past the largest site value: per-site tables are indexed by the
+/// enum value, retired values included.
+inline constexpr std::size_t kFaultSiteSlots = 18;
 
 /// All sites, in enum order (the injection-site catalog).
 const std::array<FaultSite, kFaultSiteCount>& all_fault_sites();
@@ -120,7 +125,7 @@ class FaultPlan {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  std::array<FaultSpec, kFaultSiteCount> specs_{};
+  std::array<FaultSpec, kFaultSiteSlots> specs_{};
 };
 
 /// Derive the session seed for one app attempt. Retries get a fresh stream
@@ -147,7 +152,7 @@ class FaultSession {
  private:
   const FaultPlan* plan_;
   std::uint64_t seed_;
-  std::array<std::uint32_t, kFaultSiteCount> hits_{};
+  std::array<std::uint32_t, kFaultSiteSlots> hits_{};
   std::uint64_t fired_ = 0;
 };
 

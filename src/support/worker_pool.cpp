@@ -6,10 +6,12 @@
 #include <cstdio>
 #include <cstring>
 #include <mutex>
+#include <new>
 #include <utility>
 #include <vector>
 
 #include "support/io.hpp"
+#include "support/log.hpp"
 #include "support/stopwatch.hpp"
 
 #if defined(_WIN32)
@@ -17,6 +19,7 @@
 #else
 #include <poll.h>
 #include <pthread.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -60,6 +63,41 @@ bool write_nosigpipe(int fd, const std::uint8_t* data, std::size_t size) {
   return ok;
 }
 
+[[noreturn]] void oom_exit() { ::_exit(kOomExitCode); }
+
+/// The supervisor forks from worker threads, so a sibling thread can hold
+/// the log sink mutex at fork time; the atfork handlers take it across the
+/// fork so both sides resume with a consistent, unlocked sink. Registered
+/// once, lazily, on the first spawn.
+void install_fork_handlers() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    ::pthread_atfork(&log_fork_lock, &log_fork_unlock, &log_fork_unlock);
+  });
+}
+
+/// Child-side setup between fork and the serve loop: reset SIGINT/SIGTERM,
+/// zero RLIMIT_CORE, apply the CPU/address-space limits, route allocation
+/// failure to _exit(kOomExitCode). Only async-signal-safe calls plus
+/// setrlimit/set_new_handler; the child is single-threaded.
+void child_setup(const WorkerLimits& limits) {
+  std::signal(SIGINT, SIG_DFL);
+  std::signal(SIGTERM, SIG_DFL);
+  std::signal(SIGPIPE, SIG_DFL);
+  rlimit core{0, 0};
+  (void)::setrlimit(RLIMIT_CORE, &core);
+  if (limits.cpu_time_s > 0) {
+    rlimit cpu{limits.cpu_time_s, limits.cpu_time_s};
+    (void)::setrlimit(RLIMIT_CPU, &cpu);
+  }
+  if (limits.max_memory_bytes > 0 && address_space_limit_supported()) {
+    rlimit as{static_cast<rlim_t>(limits.max_memory_bytes),
+              static_cast<rlim_t>(limits.max_memory_bytes)};
+    (void)::setrlimit(RLIMIT_AS, &as);
+  }
+  std::set_new_handler(&oom_exit);
+}
+
 std::uint32_t frame_length(const Bytes& buffer) {
   return static_cast<std::uint32_t>(buffer[8]) |
          (static_cast<std::uint32_t>(buffer[9]) << 8) |
@@ -69,9 +107,28 @@ std::uint32_t frame_length(const Bytes& buffer) {
 
 }  // namespace
 
+bool address_space_limit_supported() {
+  // ASan reserves terabytes of shadow address space and TSan's runtime
+  // aborts (instead of returning nullptr) on allocation failure, so under
+  // either sanitizer RLIMIT_AS would kill every child at startup or turn
+  // clean OOM exits into uncatchable runtime aborts.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+  return false;
+#else
+  return true;
+#endif
+#else
+  return true;
+#endif
+}
+
 Result<PoolWorker> PoolWorker::spawn(const ServeLoop& serve,
-                                     const SubprocessLimits& limits) {
-  subprocess_install_fork_handlers();
+                                     const WorkerLimits& limits) {
+  install_fork_handlers();
   std::lock_guard<std::mutex> lock(g_pool_fd_mutex);
   int request[2] = {-1, -1};
   int response[2] = {-1, -1};
@@ -103,8 +160,7 @@ Result<PoolWorker> PoolWorker::spawn(const ServeLoop& serve,
     for (const int fd : g_pool_fds) ::close(fd);
     ::close(request[1]);
     ::close(response[0]);
-    subprocess_child_setup(limits);
-    std::signal(SIGPIPE, SIG_DFL);
+    child_setup(limits);
     int code = kChildExceptionExitCode;
     try {
       code = serve(request[0], response[1]);
@@ -184,25 +240,34 @@ void PoolWorker::shutdown() {
     return;
   }
   // Closing the request pipe is the shutdown signal: the serve loop reads
-  // EOF and _exits(0). Give it half a second, then stop being polite.
+  // EOF and _exits(0). The child holds the only write end of the response
+  // pipe, so EOF there is the exit notification. Stray bytes are drained
+  // and dropped so a chatty child can never block on a full pipe; a child
+  // that outlives the grace is killed.
   if (request_fd_ >= 0) {
     unregister_pool_fd(request_fd_);
     ::close(request_fd_);
     request_fd_ = -1;
   }
-  for (int waited_ms = 0; waited_ms < 500; waited_ms += 5) {
-    int status = 0;
-    const ssize_t reaped = retry_eintr([&] {
-      return static_cast<ssize_t>(::waitpid(pid_, &status, WNOHANG));
-    });
-    if (reaped != 0) {
-      pid_ = -1;
-      close_pipes();
-      return;
-    }
-    ::usleep(5000);
+  bool eof = false;
+  const Stopwatch clock;
+  while (!eof && response_fd_ >= 0) {
+    const double remaining = kPoolShutdownGraceMs - clock.elapsed_ms();
+    if (remaining <= 0.0) break;
+    pollfd pfd{response_fd_, POLLIN, 0};
+    const int ready = static_cast<int>(retry_eintr([&] {
+      return static_cast<ssize_t>(
+          ::poll(&pfd, 1, static_cast<int>(std::ceil(remaining))));
+    }));
+    if (ready < 0) break;
+    if (ready == 0) continue;  // timeout: the loop re-checks the grace
+    std::uint8_t chunk[4096];
+    const ssize_t n =
+        retry_eintr([&] { return ::read(response_fd_, chunk, sizeof chunk); });
+    if (n < 0) break;
+    eof = n == 0;
   }
-  (void)::kill(pid_, SIGKILL);
+  if (!eof) (void)::kill(pid_, SIGKILL);
   reap(nullptr);
   close_pipes();
 }
@@ -247,8 +312,8 @@ PoolRpcResult PoolWorker::call(const Bytes& request,
 
   // Read exactly one framed message: header first (magic + len + crc), then
   // `len` payload bytes, killing the worker the moment the deadline passes.
-  // Poll timeouts bound how late a deadline kill can land, exactly like
-  // Subprocess::wait.
+  // Poll timeouts bound how late a deadline kill can land (never more than
+  // one poll quantum).
   Bytes buffer;
   std::size_t expected = kPoolMessageHeader;
   bool sized = false;

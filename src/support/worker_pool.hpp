@@ -1,27 +1,49 @@
-// Persistent pre-forked sandbox workers (docs/ISOLATION.md §3).
+// Pre-forked sandbox workers (docs/ISOLATION.md).
 //
-// Fork-per-app isolation buys crash containment at a brutal price: every
-// app pays fork(2) + pipe setup + waitpid(2), which BENCH_corpus.json
-// measured at ~13x the analysis itself. A PoolWorker amortizes that cost:
-// the child is forked ONCE, applies the same rlimits/new-handler contract
-// as support::Subprocess, then loops over a CRC-framed request/response
-// pipe protocol — the parent ships one framed request per app attempt and
-// blocks (deadline-bounded) for one framed response. One fork now serves
-// thousands of apps, while every per-app failure mode is preserved:
+// DyDroid survived its 58,739-app crawl because every sample ran in a
+// disposable environment: an app that crashes, hangs or exhausts memory
+// must never take the measurement infrastructure down with it. A
+// PoolWorker is that boundary for the corpus driver. The child is forked
+// once, applies hard resource limits, then loops over a CRC-framed
+// request/response pipe protocol: the parent ships one framed request per
+// app attempt and blocks (deadline-bounded) for one framed response. A
+// worker may serve thousands of apps, or be recycled after every app
+// (fork-per-app containment is exactly that recycle policy). Every per-app
+// failure mode is preserved:
 //
 //   * deadline overrun  → SIGKILL + reap, status kTimeout
 //   * child signal/exit → EOF mid-message + reap, status kWorkerExit with
 //                         the raw exit facts (the driver classifies
-//                         crash/OOM exactly as in fork-per-app mode)
+//                         crash/OOM from them)
 //   * clean response    → status kOk with the complete framed message
 //
 // After kTimeout or kWorkerExit the worker is dead and reaped; the caller
 // respawns a fresh one (the driver re-dispatches the in-flight app).
 //
+// Child-side contract (applied before the serve loop runs):
+//   * RLIMIT_CORE = 0 — a crashing child never litters core dumps.
+//   * RLIMIT_AS (when max_memory_bytes > 0 and the build supports it; see
+//     address_space_limit_supported) and RLIMIT_CPU (cpu_time_s > 0).
+//   * std::set_new_handler(_exit(kOomExitCode)) — an allocation failure
+//     exits with a reserved code instead of unwinding, so the supervisor
+//     can classify out-of-memory deaths distinctly from crashes.
+//   * SIGINT/SIGTERM reset to SIG_DFL — the parent's graceful-shutdown
+//     handlers must not leak into children.
+//   * The loop's return value becomes the exit code; an exception escaping
+//     it exits with kChildExceptionExitCode. The child always leaves via
+//     _exit(2): no destructors, no atexit handlers, no double-flushed
+//     stdio buffers inherited from the parent.
+//
 // Framing: every message is `magic[8] | len:u32 | crc:u32 | payload[len]`
 // — the journal frame layer (support/journal.hpp) under a caller-chosen
 // magic. The parent locates message boundaries from the length header;
 // CRC validation happens in the caller's decoder.
+//
+// fork() in a multithreaded parent: the corpus driver forks from worker
+// threads. glibc's malloc is made fork-safe by its own atfork handlers;
+// the support logger's sink mutex is guarded by handlers registered on the
+// first spawn (log_fork_lock/unlock), and children never touch the
+// journal, cache or trace registries (parent-side state).
 //
 // fd hygiene across forks: a pool runs one worker per driver thread, and a
 // child forked later would inherit the parent-side pipe ends of every
@@ -38,9 +60,35 @@
 
 #include "support/bytes.hpp"
 #include "support/error.hpp"
-#include "support/subprocess.hpp"
 
 namespace dydroid::support {
+
+/// Reserved child exit codes (chosen high to stay clear of app-meaningful
+/// small codes; a serve loop returning them would be misclassified, so
+/// don't).
+inline constexpr int kOomExitCode = 97;             // new_handler fired
+inline constexpr int kChildExceptionExitCode = 96;  // exception escaped loop
+
+/// Hard resource limits applied to the child before the serve loop runs.
+struct WorkerLimits {
+  /// RLIMIT_AS in bytes; 0 inherits the parent's limit. The limit covers
+  /// the whole address space (the forked image included), so it must
+  /// comfortably exceed the parent's footprint. Ignored under ASan/TSan,
+  /// whose shadow mappings are incompatible with RLIMIT_AS.
+  std::uint64_t max_memory_bytes = 0;
+  /// RLIMIT_CPU in seconds; 0 inherits. Exceeding it delivers SIGXCPU.
+  std::uint32_t cpu_time_s = 0;
+  /// Default per-call wall deadline in ms; past it the child is SIGKILLed
+  /// and the call reports kTimeout. 0 = wait forever.
+  double wall_deadline_ms = 0.0;
+};
+
+/// True when this build can enforce RLIMIT_AS (false under ASan/TSan).
+[[nodiscard]] bool address_space_limit_supported();
+
+/// How long shutdown() waits for the child to exit after closing its
+/// request pipe before it SIGKILLs it.
+inline constexpr int kPoolShutdownGraceMs = 500;
 
 /// Bytes preceding the payload of a framed pool message: the 8-byte magic
 /// plus the journal frame header (len + crc).
@@ -61,8 +109,8 @@ struct PoolRpcResult {
   Status status = Status::kError;
   /// The complete message (magic + frame) on kOk.
   Bytes message;
-  /// Reap facts, valid for kTimeout/kWorkerExit/kError (mirrors
-  /// SubprocessResult): WIFEXITED → exited/exit_code, else term_signal.
+  /// Reap facts, valid for kTimeout/kWorkerExit/kError: WIFEXITED →
+  /// exited/exit_code, else term_signal.
   bool exited = false;
   int exit_code = 0;
   int term_signal = 0;
@@ -82,7 +130,7 @@ class PoolWorker {
   /// the apps it serves — pair tight CPU limits with recycling). The
   /// wall_deadline_ms in `limits` is the default per-call deadline.
   static Result<PoolWorker> spawn(const ServeLoop& serve,
-                                  const SubprocessLimits& limits);
+                                  const WorkerLimits& limits);
 
   PoolWorker(PoolWorker&& other) noexcept;
   PoolWorker& operator=(PoolWorker&& other) noexcept;
@@ -102,7 +150,10 @@ class PoolWorker {
                                    double deadline_ms = 0.0);
 
   /// Graceful shutdown: close the request pipe (the loop sees EOF and
-  /// exits), wait briefly, escalate to SIGKILL if the child lingers.
+  /// exits), then wait up to kPoolShutdownGraceMs for EOF on the response
+  /// pipe — it arrives the moment the child exits — draining and dropping
+  /// any stray bytes the child still writes. SIGKILL only if EOF never
+  /// arrives; either way the child is reaped before this returns.
   void shutdown();
 
   /// SIGKILL + reap immediately (recycling a wedged or bloated worker).

@@ -207,6 +207,48 @@ TEST(CliArgs, MetricsRejectsBadTopCount) {
       << result.output;
 }
 
+// --- isolation flags (docs/ISOLATION.md) -----------------------------------
+
+TEST(CliArgs, IsolateRejectsUnknownMode) {
+  REQUIRE_CLI();
+  const auto result = run_cli("survey --scale 0.002 --isolate=bogus");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("invalid --isolate mode 'bogus'"),
+            std::string::npos)
+      << result.output;
+}
+
+TEST(CliArgs, ForkIsolationRejectsRecycleBudget) {
+  REQUIRE_CLI();
+  // Fork mode recycles after every app by definition; a budget there is a
+  // contradiction, not something to ignore silently.
+  for (const char* flags : {"--isolate=fork --recycle-apps 5",
+                            "--isolate --recycle-apps 5",
+                            "--mem-limit 4000000000 --recycle-apps 5"}) {
+    const auto result =
+        run_cli(std::string("survey --scale 0.002 ") + flags);
+    EXPECT_EQ(result.exit_code, 2) << flags << ": " << result.output;
+    EXPECT_NE(result.output.find("--recycle-apps needs --isolate=pool"),
+              std::string::npos)
+        << flags << ": " << result.output;
+  }
+}
+
+TEST(CliArgs, IsolateModesKeepTheirSandboxSummaryLine) {
+  REQUIRE_CLI();
+  const auto fork = run_cli("survey --scale 0.002 --seed 7 --jobs 1 --isolate");
+  EXPECT_EQ(fork.exit_code, 0) << fork.output;
+  EXPECT_NE(fork.output.find("  sandbox: fork-per-app, 0 crashed"),
+            std::string::npos)
+      << fork.output;
+  const auto pool =
+      run_cli("survey --scale 0.002 --seed 7 --jobs 1 --isolate=pool");
+  EXPECT_EQ(pool.exit_code, 0) << pool.output;
+  EXPECT_NE(pool.output.find("  sandbox: worker-pool, 0 crashed"),
+            std::string::npos)
+      << pool.output;
+}
+
 // --- corpus sharding flags (docs/SHARDING.md) ------------------------------
 
 TEST(CliShard, RejectsMalformedShardSpecs) {

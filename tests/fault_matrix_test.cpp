@@ -6,6 +6,7 @@
 // byte-identical reports across 1/2/8 workers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "appgen/corpus.hpp"
@@ -69,6 +70,12 @@ TEST(FaultPlanTest, RejectsMalformedEntries) {
   EXPECT_FALSE(FaultPlan::parse("apk.deserialize=nth:0").ok());
   EXPECT_FALSE(FaultPlan::parse("apk.deserialize=p:1.5").ok());
   EXPECT_FALSE(FaultPlan::parse("apk.deserialize=p:-0.1").ok());
+}
+
+TEST(FaultPlanTest, RetiredSandboxSitesAreUnknown) {
+  // Retired sites must fail loudly when named, not arm nothing silently.
+  EXPECT_FALSE(FaultPlan::parse("sandbox.spawn=always").ok());
+  EXPECT_FALSE(FaultPlan::parse("sandbox.pipe=always").ok());
 }
 
 TEST(FaultSiteTest, NamesRoundTrip) {
@@ -150,6 +157,39 @@ TEST(FaultSessionTest, DecisionsAreInterleavingIndependent) {
   }
   EXPECT_EQ(ga, aa);
   EXPECT_EQ(gd, ad);
+}
+
+TEST(FaultSessionTest, SandboxSiteDecisionsMatchGolden) {
+  // decision_draw salts each stream with the site's numeric value, so the
+  // sandbox sites keep their values (14-17) after the sites before them
+  // were retired. Bit h of each mask is the decision for hit h+1 of
+  // `p:0.5` under one session seed; the table was recorded before the
+  // retirement and must never change.
+  struct Golden {
+    FaultSite site;
+    std::uint32_t masks[3];
+  };
+  constexpr std::uint64_t kSeeds[3] = {1ull, 0xBE9C0000ull,
+                                       0x66E2D40D8F8DD875ull};
+  constexpr Golden kGolden[] = {
+      {FaultSite::kSandboxCrash, {0x36D99F24u, 0xA15250D7u, 0x1965BA5Eu}},
+      {FaultSite::kPoolSpawn, {0xF0FAA9B5u, 0xD6DC42FDu, 0xEB6F74B0u}},
+      {FaultSite::kPoolRpc, {0xC418BC01u, 0xA0E80E21u, 0x50E39A2Au}},
+      {FaultSite::kPoolRecycle, {0x49EF8D9Du, 0xF8180AB2u, 0xC55ABC44u}},
+  };
+  for (const auto& golden : kGolden) {
+    FaultPlan plan;
+    plan.set(golden.site, FaultSpec::with_probability(0.5));
+    for (int s = 0; s < 3; ++s) {
+      FaultSession session(plan, kSeeds[s]);
+      std::uint32_t mask = 0;
+      for (int hit = 0; hit < 32; ++hit) {
+        if (session.should_fire(golden.site)) mask |= 1u << hit;
+      }
+      EXPECT_EQ(mask, golden.masks[s])
+          << support::fault_site_name(golden.site) << " seed " << kSeeds[s];
+    }
+  }
 }
 
 TEST(FaultSessionTest, AttemptSaltsTheSessionSeed) {

@@ -1,12 +1,18 @@
-// Sandbox pipe-protocol fuzz belt (tier 2, docs/ISOLATION.md): whatever a
-// dying child managed to emit — torn, bit-flipped, duplicated, padded or
-// plain garbage — decode_sandbox_result must either reject it cleanly or
-// return the original outcome; it must never throw, and a full corpus run
-// under injected pipe corruption must degrade app-by-app (quarantined
-// crash outcomes) without corrupting any other app's report.
+// Sandbox RPC fuzz belt (tier 2, docs/ISOLATION.md): the two pool codecs
+// are the only decoders of bytes that cross the process boundary.
+// Whatever a dying child managed to emit — torn, bit-flipped, duplicated,
+// padded or plain garbage — decode_pool_response must either reject it
+// cleanly or return the original outcome, and decode_pool_request (the
+// child's side of the same conversation) must do the same for requests;
+// neither may ever throw. A full corpus run under injected RPC corruption
+// must degrade app-by-app (quarantined crash outcomes) without corrupting
+// any other app's report.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,69 +35,111 @@ AppOutcome sample_outcome() {
   return outcome;
 }
 
-/// True when `decoded` reproduces the sample stream's content exactly.
-bool matches_sample(const DecodedOutcome& decoded, std::size_t index,
-                    const AppOutcome& original) {
-  return decoded.index == index && decoded.outcome.seed == original.seed &&
-         core::report_to_json(decoded.outcome.report) ==
-             core::report_to_json(original.report);
+PoolRequest sample_request() {
+  PoolRequest request;
+  request.app_index = 9;
+  request.attempt = 1;
+  request.seed = 0xBE9C0011ull;
+  request.worker = 3;
+  request.crash_child = true;
+  return request;
+}
+
+/// One codec under fuzz: a valid message, and a verdict on arbitrary bytes
+/// — nullopt when the decoder rejected them, else whether the decoded
+/// value reproduces the original message's content exactly.
+struct Codec {
+  const char* name;
+  support::Bytes message;
+  std::function<std::optional<bool>(std::span<const std::uint8_t>)> decode;
+};
+
+std::vector<Codec> codecs() {
+  const AppOutcome outcome = sample_outcome();
+  const PoolRequest request = sample_request();
+  return {
+      {"response", encode_pool_response(9, outcome),
+       [outcome](std::span<const std::uint8_t> data) -> std::optional<bool> {
+         const auto decoded = decode_pool_response(data);
+         if (!decoded.ok()) return std::nullopt;
+         return decoded.value().index == 9 &&
+                decoded.value().outcome.seed == outcome.seed &&
+                core::report_to_json(decoded.value().outcome.report) ==
+                    core::report_to_json(outcome.report);
+       }},
+      {"request", encode_pool_request(request),
+       [request](std::span<const std::uint8_t> data) -> std::optional<bool> {
+         const auto decoded = decode_pool_request(data);
+         if (!decoded.ok()) return std::nullopt;
+         const PoolRequest& got = decoded.value();
+         return got.app_index == request.app_index &&
+                got.attempt == request.attempt && got.seed == request.seed &&
+                got.worker == request.worker &&
+                got.crash_child == request.crash_child;
+       }},
+  };
 }
 
 TEST(SandboxFuzz, EveryTruncationFailsCleanly) {
-  const AppOutcome outcome = sample_outcome();
-  const support::Bytes stream = encode_sandbox_result(9, outcome);
-  for (std::size_t keep = 0; keep < stream.size(); ++keep) {
-    const auto decoded = decode_sandbox_result(
-        std::span<const std::uint8_t>(stream.data(), keep));
-    EXPECT_FALSE(decoded.ok()) << "prefix of " << keep << " bytes decoded";
+  for (const auto& codec : codecs()) {
+    SCOPED_TRACE(codec.name);
+    ASSERT_EQ(codec.decode(codec.message), std::optional<bool>(true));
+    for (std::size_t keep = 0; keep < codec.message.size(); ++keep) {
+      EXPECT_FALSE(codec.decode(std::span<const std::uint8_t>(
+                                    codec.message.data(), keep))
+                       .has_value())
+          << "prefix of " << keep << " bytes decoded";
+    }
   }
 }
 
 TEST(SandboxFuzz, EverySingleBitFlipIsRejectedOrEquivalent) {
-  const AppOutcome outcome = sample_outcome();
-  const support::Bytes stream = encode_sandbox_result(9, outcome);
-  for (std::size_t byte = 0; byte < stream.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      support::Bytes mutated = stream;
-      mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      // Must not throw; a CRC-colliding accept would have to decode to the
-      // same content, anything else is corruption leaking through.
-      const auto decoded = decode_sandbox_result(mutated);
-      if (decoded.ok()) {
-        EXPECT_TRUE(matches_sample(decoded.value(), 9, outcome))
-            << "flip at byte " << byte << " bit " << bit
-            << " decoded to different content";
+  for (const auto& codec : codecs()) {
+    SCOPED_TRACE(codec.name);
+    for (std::size_t byte = 0; byte < codec.message.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        support::Bytes mutated = codec.message;
+        mutated[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        // Must not throw; a CRC-colliding accept would have to decode to
+        // the same content, anything else is corruption leaking through.
+        const auto verdict = codec.decode(mutated);
+        if (verdict.has_value()) {
+          EXPECT_TRUE(*verdict) << "flip at byte " << byte << " bit " << bit
+                                << " decoded to different content";
+        }
       }
     }
   }
 }
 
 TEST(SandboxFuzz, StructuralMutationsAreRejected) {
-  const AppOutcome outcome = sample_outcome();
-  const support::Bytes stream = encode_sandbox_result(9, outcome);
+  for (const auto& codec : codecs()) {
+    SCOPED_TRACE(codec.name);
+    const support::Bytes& message = codec.message;
 
-  // A duplicated frame: two records where the protocol demands exactly one.
-  support::Bytes doubled = stream;
-  doubled.insert(doubled.end(), stream.begin() + 8, stream.end());
-  EXPECT_FALSE(decode_sandbox_result(doubled).ok());
+    // A duplicated frame: two records where the protocol demands one.
+    support::Bytes doubled = message;
+    doubled.insert(doubled.end(), message.begin() + 8, message.end());
+    EXPECT_FALSE(codec.decode(doubled).has_value());
 
-  // Trailing garbage after the valid frame parses as a torn second frame.
-  support::Bytes padded = stream;
-  for (int i = 0; i < 11; ++i) padded.push_back(0xAB);
-  EXPECT_FALSE(decode_sandbox_result(padded).ok());
+    // Trailing garbage after the valid frame parses as a torn second frame.
+    support::Bytes padded = message;
+    for (int i = 0; i < 11; ++i) padded.push_back(0xAB);
+    EXPECT_FALSE(codec.decode(padded).has_value());
 
-  // Wrong magic: a journal file (or anything else) fed to the sandbox.
-  support::Bytes wrong_magic = stream;
-  wrong_magic[0] = 'X';
-  EXPECT_FALSE(decode_sandbox_result(wrong_magic).ok());
+    // Wrong magic: a journal file (or anything else) fed to the sandbox.
+    support::Bytes wrong_magic = message;
+    wrong_magic[0] = 'X';
+    EXPECT_FALSE(codec.decode(wrong_magic).has_value());
 
-  // Pure noise of assorted sizes.
-  for (const std::size_t size : {1u, 8u, 16u, 64u, 333u}) {
-    support::Bytes noise(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      noise[i] = static_cast<std::uint8_t>(i * 37u + 5u);
+    // Pure noise of assorted sizes.
+    for (const std::size_t size : {1u, 8u, 16u, 64u, 333u}) {
+      support::Bytes noise(size);
+      for (std::size_t i = 0; i < size; ++i) {
+        noise[i] = static_cast<std::uint8_t>(i * 37u + 5u);
+      }
+      EXPECT_FALSE(codec.decode(noise).has_value()) << "noise size " << size;
     }
-    EXPECT_FALSE(decode_sandbox_result(noise).ok()) << "noise size " << size;
   }
 }
 
@@ -106,7 +154,7 @@ TEST(SandboxFuzz, PipeCorruptionNeverCorruptsTheRun) {
   thread_config.jobs = 2;
   const auto golden = CorpusRunner(clean, thread_config).run(corpus);
 
-  const auto plan_result = support::FaultPlan::parse("sandbox.pipe=p:0.5");
+  const auto plan_result = support::FaultPlan::parse("sandbox.pool.rpc=p:0.5");
   ASSERT_TRUE(plan_result.ok()) << plan_result.error();
   const auto& plan = plan_result.value();
   core::PipelineOptions options;
@@ -115,7 +163,7 @@ TEST(SandboxFuzz, PipeCorruptionNeverCorruptsTheRun) {
 
   RunnerConfig config;
   config.jobs = 2;
-  config.isolation_mode = IsolationMode::kForkPerApp;
+  config.isolation_mode = IsolationMode::kPool;
   const auto result = CorpusRunner(faulty, config).run(corpus);
 
   ASSERT_EQ(result.outcomes.size(), corpus.apps.size());
@@ -123,8 +171,8 @@ TEST(SandboxFuzz, PipeCorruptionNeverCorruptsTheRun) {
   for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
     const auto& outcome = result.outcomes[i];
     if (outcome.sandbox_fate != SandboxFate::kNone) {
-      // The damaged frame cost this app its result — quarantined crash —
-      // and nothing else.
+      // The damaged response cost this app its result — quarantined
+      // crash — and nothing else.
       ++torn;
       EXPECT_EQ(outcome.sandbox_fate, SandboxFate::kCrashed);
       EXPECT_TRUE(outcome.quarantined);

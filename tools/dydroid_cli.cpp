@@ -37,11 +37,11 @@
 //       trace_event JSON (chrome://tracing / Perfetto) with one span per
 //       (app, stage, attempt); --metrics appends the per-stage latency
 //       table and the top-K slowest apps (docs/OBSERVABILITY.md).
-//       --isolate forks one sandboxed child per analysis attempt
+//       --isolate runs every app in a fresh sandboxed child
 //       (docs/ISOLATION.md): crashes, OOMs and hangs are classified,
 //       quarantined data points instead of driver outages;
-//       --isolate=pool serves apps from one persistent forked worker per
-//       thread instead (same classification, fork cost amortized) with
+//       --isolate=pool keeps one forked worker per thread alive across
+//       apps instead (same classification, fork cost amortized) with
 //       --recycle-apps K retiring workers after K apps; --mem-limit
 //       caps child address space and implies --isolate.
 //
@@ -357,37 +357,44 @@ std::string configure_cache(const char* cmd, const Args& args,
 // --- process-isolation plumbing (docs/ISOLATION.md) -------------------------
 
 /// Fill the sandbox fields of a RunnerConfig from --isolate[=fork|pool],
-/// --mem-limit and --recycle-apps. Returns true when isolation is on.
-/// --mem-limit implies --isolate (a memory cap is only enforceable on a
-/// forked child); a bare --isolate means fork-per-app.
-bool configure_isolation(const char* cmd, const Args& args,
-                         driver::RunnerConfig& config) {
-  if (args.flag("isolate")) {
-    const std::string mode = args.value("isolate", "");
-    if (mode.empty() || mode == "fork") {
-      config.isolation_mode = driver::IsolationMode::kForkPerApp;
-    } else if (mode == "pool") {
-      config.isolation_mode = driver::IsolationMode::kPool;
-    } else {
-      std::fprintf(stderr,
-                   "%s: invalid --isolate mode '%s' (expected fork or pool)\n",
-                   cmd, mode.c_str());
-      std::exit(2);
-    }
+/// --mem-limit and --recycle-apps. Returns the sandbox label for the
+/// summary line, or nullptr when isolation is off. Both modes run the
+/// worker pool: a bare --isolate, --isolate=fork and a lone --mem-limit (a
+/// memory cap is only enforceable on a forked child) recycle the worker
+/// after every app, which is fork-per-app containment; --isolate=pool keeps
+/// workers until --recycle-apps K apps have been served (0 = never).
+const char* configure_isolation(const char* cmd, const Args& args,
+                                driver::RunnerConfig& config) {
+  const std::string mode = args.value("isolate", "");
+  const bool pool = mode == "pool";
+  if (!pool && !mode.empty() && mode != "fork") {
+    std::fprintf(stderr,
+                 "%s: invalid --isolate mode '%s' (expected fork or pool)\n",
+                 cmd, mode.c_str());
+    std::exit(2);
   }
+  if (!args.flag("isolate") && !args.flag("mem-limit")) return nullptr;
+  config.isolation_mode = driver::IsolationMode::kPool;
   if (args.flag("mem-limit")) {
-    if (!config.isolated()) {
-      config.isolation_mode = driver::IsolationMode::kForkPerApp;
-    }
     config.sandbox_mem_limit_bytes =
         parse_u64_flag(cmd, "mem-limit", args.value("mem-limit", "0"));
   }
-  if (!config.isolated()) return false;
+  if (!pool) {
+    if (args.flag("recycle-apps")) {
+      std::fprintf(stderr,
+                   "%s: --recycle-apps needs --isolate=pool (fork mode "
+                   "already uses a fresh child per app)\n",
+                   cmd);
+      std::exit(2);
+    }
+    config.pool_recycle_apps = 1;
+    return "fork-per-app";
+  }
   if (args.flag("recycle-apps")) {
     config.pool_recycle_apps = static_cast<std::uint32_t>(parse_u64_flag(
         cmd, "recycle-apps", args.value("recycle-apps", "0")));
   }
-  return true;
+  return "worker-pool";
 }
 
 int cmd_gen(const Args& args) {
@@ -495,7 +502,8 @@ int cmd_analyze(const Args& args) {
   const std::string journal_path = configure_journal(args, runner_config);
   const std::string shard_spec = configure_shard("analyze", args, runner_config);
   const std::string cache_dir = configure_cache("analyze", args, runner_config);
-  const bool isolate = configure_isolation("analyze", args, runner_config);
+  const bool isolate =
+      configure_isolation("analyze", args, runner_config) != nullptr;
   const std::string shard_hint =
       shard_spec.empty() ? std::string() : " --shard " + shard_spec;
   core::DyDroid pipeline(std::move(options));
@@ -651,7 +659,8 @@ int cmd_survey(const Args& args) {
   const std::string journal_path = configure_journal(args, runner_config);
   const std::string shard_spec = configure_shard("survey", args, runner_config);
   const std::string cache_dir = configure_cache("survey", args, runner_config);
-  const bool isolate = configure_isolation("survey", args, runner_config);
+  const char* sandbox_label =
+      configure_isolation("survey", args, runner_config);
   const std::string trace_path = configure_observability(args);
   const std::string shard_hint =
       shard_spec.empty() ? std::string() : " --shard " + shard_spec;
@@ -688,14 +697,12 @@ int cmd_survey(const Args& args) {
     std::printf("  fault policy: %zu timed out, %zu retried, %zu quarantined\n",
                 stats.timed_out, stats.retried, stats.quarantined);
   }
-  if (isolate) {
+  if (sandbox_label != nullptr) {
     std::printf(
         "  sandbox: %s, %zu crashed, %zu oom-killed, "
         "%zu deadline-killed\n",
-        runner_config.isolation_mode == driver::IsolationMode::kPool
-            ? "worker-pool"
-            : "fork-per-app",
-        stats.sandbox_crashed, stats.killed_oom, stats.killed_timeout);
+        sandbox_label, stats.sandbox_crashed, stats.killed_oom,
+        stats.killed_timeout);
   }
   if (!shard_spec.empty()) {
     std::printf(
@@ -845,11 +852,11 @@ void usage() {
       "(bytes, config, seed) work from a content-addressed store and\n"
       "dedups intercepted binaries corpus-wide; --cache-entries and\n"
       "--cache-bytes bound the store (LRU).\n"
-      "Isolation (docs/ISOLATION.md): --isolate forks one sandboxed child\n"
-      "per analysis attempt (crashes, hangs and OOMs are classified and\n"
-      "quarantined, never fatal); --isolate=pool serves apps from one\n"
-      "persistent forked worker per thread instead (same classification,\n"
-      "the fork cost amortized away); --recycle-apps K retires a pooled\n"
+      "Isolation (docs/ISOLATION.md): --isolate runs every app in a fresh\n"
+      "sandboxed child (crashes, hangs and OOMs are classified and\n"
+      "quarantined, never fatal); --isolate=pool keeps one forked worker\n"
+      "per thread alive across apps instead (same classification, the\n"
+      "fork cost amortized away); --recycle-apps K (pool only) retires a\n"
       "worker after K apps; --mem-limit caps child RLIMIT_AS and implies\n"
       "--isolate.\n");
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Isolation matrix (docs/ISOLATION.md): prove both isolation flavors —
-# fork-per-app and the persistent worker pool — are golden against thread
-# mode from the real CLI, then prove they survive hostile signals.
+# Isolation matrix (docs/ISOLATION.md): prove both recycle policies of the
+# sandbox worker — fork-per-app (`--isolate`: a fresh worker per app) and
+# persistent workers (`--isolate=pool`) — are golden against thread mode
+# from the real CLI, then prove they survive hostile signals.
 #
 #   tools/run_isolation_matrix.sh [scale] [seed] [kill_rounds]
 #
@@ -15,10 +16,9 @@
 #      (recycling happens between attempts, so it may never show up in a
 #      report).
 #   4. Child-kill rounds: `--isolate` and `--isolate=pool` surveys while
-#      random live sandbox children are `kill -9`ed mid-run. Fork mode
-#      respawns the killed attempt's child; pool mode re-dispatches the
-#      in-flight app on a fresh worker. Either way the summary must still
-#      match golden.
+#      random live sandbox children are `kill -9`ed mid-run. The in-flight
+#      app of a killed worker is re-dispatched on a fresh one, so the
+#      summary must still match golden.
 #   5. Kill/resume rounds: journaled `--isolate` / `--isolate=pool`
 #      surveys SIGKILLed at a random point, resumed with `--resume`,
 #      compared to golden.
@@ -103,18 +103,18 @@ childkill_rounds() {
       > "$out" 2>/dev/null &
     local survey_pid=$!
     local kills=0
-    # Fork children are short-lived (one per app attempt), so shoot as
-    # fast as the loop allows; pkill observes and kills in one process,
-    # the best odds of landing inside a child's window. Pool workers are
-    # the opposite — alive the whole run — so an unthrottled loop would
-    # land a kill every few milliseconds and could legitimately escalate
-    # one app past the bounded external-kill respawns into a killed_oom
-    # outcome; the pool round spaces its shots instead. Deterministic
-    # respawn/re-dispatch coverage lives in tests/isolation_test.cpp and
+    # Fork-mode children are short-lived (a worker recycled after every
+    # app), so shoot as fast as the loop allows; pkill observes and kills
+    # in one process, the best odds of landing inside a child's window.
+    # Persistent pool workers are the opposite — alive the whole run — so
+    # an unthrottled loop would land a kill every few milliseconds and
+    # could legitimately escalate one app past the bounded external-kill
+    # re-dispatches into a killed_oom outcome; the pool round spaces its
+    # shots instead. Deterministic re-dispatch coverage lives in
     # tests/worker_pool_test.cpp; these rounds are the live chaos version.
-    # Landed kills are transparently absorbed (fork: attempt respawned;
-    # pool: in-flight app re-dispatched on a fresh worker), so the summary
-    # must stay golden regardless.
+    # Landed kills are transparently absorbed (the in-flight app is
+    # re-dispatched on a fresh worker), so the summary must stay golden
+    # regardless.
     while kill -0 "$survey_pid" 2>/dev/null; do
       if pkill -9 -P "$survey_pid" 2>/dev/null; then
         kills=$((kills + 1))
