@@ -79,6 +79,32 @@ void BM_InterpreterArithLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterArithLoop)->Arg(1000)->Arg(10000);
 
+// The fixed cost of the one Vm every exercised app gets: construction and
+// destruction, before any bytecode runs.
+void BM_VmConstruct(benchmark::State& state) {
+  os::Device device;
+  vm::AppContext app;
+  app.manifest.package = "com.bench.app";
+  for (auto _ : state) {
+    vm::Vm vm(device, app);
+    benchmark::DoNotOptimize(&vm);
+  }
+}
+BENCHMARK(BM_VmConstruct);
+
+// Decoding a play app's classes.dex (with the ad SDK's loader code): the
+// work StaticStage does once per app and the VM now reuses.
+void BM_DexDecode(benchmark::State& state) {
+  const auto classes =
+      *apk::ApkFile::deserialize(make_ad_app().apk).get(apk::kClassesDexEntry);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dex::DexFile::deserialize(classes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(classes.size()));
+}
+BENCHMARK(BM_DexDecode);
+
 void BM_ApkSerializeRoundTrip(benchmark::State& state) {
   const auto app = make_ad_app();
   for (auto _ : state) {

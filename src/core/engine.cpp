@@ -5,19 +5,23 @@
 namespace dydroid::core {
 namespace {
 
-RunResult run_once(os::Device& device, const apk::ApkFile& apk,
+RunResult crashed(std::string message) {
+  RunResult result;
+  result.monkey.outcome = monkey::Outcome::kCrash;
+  result.monkey.crash_message = std::move(message);
+  return result;
+}
+
+RunResult run_once(os::Device& device,
+                   const std::shared_ptr<const dex::DexFile>& classes,
                    const manifest::Manifest& manifest, support::Rng& rng,
                    const EngineConfig& config) {
-  RunResult result;
   vm::AppContext app;
   app.manifest = manifest;
   vm::Vm vm(device, std::move(app), config.limits);
-  const auto loaded = vm.load_app(apk);
-  if (!loaded) {
-    result.monkey.outcome = monkey::Outcome::kCrash;
-    result.monkey.crash_message = loaded.error();
-    return result;
-  }
+  const auto loaded = vm.load_app(classes);
+  if (!loaded) return crashed(loaded.error());
+  RunResult result;
   CodeInterceptor interceptor(vm);
   result.monkey = monkey::run_monkey(vm, config.monkey, rng);
   result.events = interceptor.events();
@@ -33,7 +37,22 @@ RunResult run_once(os::Device& device, const apk::ApkFile& apk,
 RunResult run_app(os::Device& device, const apk::ApkFile& apk,
                   const manifest::Manifest& manifest, support::Rng& rng,
                   const EngineConfig& config) {
-  auto result = run_once(device, apk, manifest, rng, config);
+  std::shared_ptr<const dex::DexFile> classes;
+  try {
+    if (auto decoded = apk.read_classes_dex()) {
+      classes = std::make_shared<const dex::DexFile>(*std::move(decoded));
+    }
+  } catch (const support::ParseError& e) {
+    return crashed(std::string("load_app: ") + e.what());
+  }
+  return run_app(device, std::move(classes), manifest, rng, config);
+}
+
+RunResult run_app(os::Device& device,
+                  std::shared_ptr<const dex::DexFile> classes,
+                  const manifest::Manifest& manifest, support::Rng& rng,
+                  const EngineConfig& config) {
+  auto result = run_once(device, classes, manifest, rng, config);
   if (result.monkey.outcome == monkey::Outcome::kCrash &&
       result.monkey.crash_message.find("storage full") != std::string::npos) {
     // Automatic recovery: clear the app's cache (odex staging and ad
@@ -45,7 +64,7 @@ RunResult run_app(os::Device& device, const apk::ApkFile& apk,
     }
     support::log_info("engine", "storage full: cleared cache for " +
                                     manifest.package + ", retrying");
-    result = run_once(device, apk, manifest, rng, config);
+    result = run_once(device, classes, manifest, rng, config);
     result.storage_recovered = true;
   }
   return result;

@@ -29,8 +29,16 @@ struct RunResult {
   bool storage_recovered = false;
 };
 
-/// Execute an installed app. `apk` must already be installed on `device`.
+/// Execute an installed app. `apk` must already be installed on `device`;
+/// its classes.dex is decoded here.
 RunResult run_app(os::Device& device, const apk::ApkFile& apk,
+                  const manifest::Manifest& manifest, support::Rng& rng,
+                  const EngineConfig& config = {});
+
+/// Same, for an installed app whose classes.dex the caller already decoded
+/// (null: the APK has none). The storage-full retry reuses that decode.
+RunResult run_app(os::Device& device,
+                  std::shared_ptr<const dex::DexFile> classes,
                   const manifest::Manifest& manifest, support::Rng& rng,
                   const EngineConfig& config = {});
 

@@ -80,6 +80,19 @@ StageResult RewriteStage::run(AnalysisContext& ctx) const {
 
 // ---- DynamicStage ----------------------------------------------------------
 
+namespace {
+
+/// Move the IR's decoded classes.dex out (null when the APK has none).
+std::shared_ptr<const dex::DexFile> take_classes_dex(analysis::Ir& ir) {
+  if (!ir.classes_dex.has_value()) return nullptr;
+  auto classes =
+      std::make_shared<const dex::DexFile>(*std::move(ir.classes_dex));
+  ir.classes_dex.reset();
+  return classes;
+}
+
+}  // namespace
+
 StageResult DynamicStage::run(AnalysisContext& ctx) const {
   std::optional<os::Device> device;
   {
@@ -118,7 +131,16 @@ StageResult DynamicStage::run(AnalysisContext& ctx) const {
   support::Rng rng(ctx.seed);
   {
     TRACE_SPAN("phase", "dynamic.fuzz");
-    ctx.run = run_app(*device, img.file(), man, rng, ctx.options->engine);
+    // StaticStage decoded classes.dex into the IR and no later stage reads
+    // the IR, so the VM takes that decode instead of repeating it (the
+    // rewrite changes only the manifest). Custom stage lists without
+    // StaticStage decode from the image.
+    if (ctx.ir.has_value()) {
+      ctx.run = run_app(*device, take_classes_dex(*ctx.ir), man, rng,
+                        ctx.options->engine);
+    } else {
+      ctx.run = run_app(*device, img.file(), man, rng, ctx.options->engine);
+    }
   }
   auto& run = *ctx.run;
   ctx.report.storage_recovered = run.storage_recovered;

@@ -1,6 +1,7 @@
 #include "vm/frameworks.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "apk/apk.hpp"
 #include "support/hash.hpp"
@@ -169,18 +170,62 @@ FlowNode url_node_of_connection(const ObjRef& conn) {
                       : std::string()};
 }
 
+Value load_by_name(Vm& v, const std::vector<Value>& args, std::size_t idx) {
+  v.load_native_library_by_name(arg(v, args, idx).as_str());
+  return Value();
+}
+
+Value load_by_path(Vm& v, const std::vector<Value>& args, std::size_t idx) {
+  v.load_native_library(arg(v, args, idx).as_str());
+  return Value();
+}
+
+Value open_input(Vm& v, const std::string& url, const FlowNode& url_node) {
+  auto fetched = v.device().network().fetch(url);
+  if (!fetched) {
+    throw v.make_exception("IOException: " + fetched.error());
+  }
+  auto stream =
+      make_input_stream(v, "java.io.FileInputStream",
+                        support::Blob::take(std::move(fetched).take()));
+  // The stream is network-sourced, not file-sourced; present it as a
+  // plain InputStream node fed by the URL (Table I: URL -> InputStream).
+  v.emit_flow(url_node, obj_node(FlowNodeKind::InputStream, stream));
+  return Value(stream);
+}
+
 // ---------------------------------------------------------------------------
 // Registration groups.
 // ---------------------------------------------------------------------------
 
-void install_loaders(Vm& vm) {
-  vm.register_framework_class("java.lang.ClassLoader");
-  vm.register_framework_class("dalvik.system.DexClassLoader",
+/// Collects the registration groups below; Framework's constructor then
+/// flattens it into the lookup table. A later registration of the same
+/// Class.method overrides an earlier one; a class keeps its last non-empty
+/// superclass.
+struct Registry {
+  std::map<std::pair<std::string, std::string>, Intrinsic> intrinsics;
+  std::map<std::string, std::string> supers;  // class -> super ("" = root)
+
+  void register_intrinsic(std::string_view cls, std::string_view method,
+                          Intrinsic fn) {
+    intrinsics[{std::string(cls), std::string(method)}] = fn;
+    register_framework_class(cls);
+  }
+  void register_framework_class(std::string_view name,
+                                std::string_view super = "") {
+    auto& entry = supers[std::string(name)];
+    if (!super.empty()) entry = std::string(super);
+  }
+};
+
+void install_loaders(Registry& fw) {
+  fw.register_framework_class("java.lang.ClassLoader");
+  fw.register_framework_class("dalvik.system.DexClassLoader",
                               "java.lang.ClassLoader");
-  vm.register_framework_class("dalvik.system.PathClassLoader",
+  fw.register_framework_class("dalvik.system.PathClassLoader",
                               "java.lang.ClassLoader");
 
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "dalvik.system.DexClassLoader", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -197,7 +242,7 @@ void install_loaders(Vm& vm) {
         return Value();
       });
 
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "dalvik.system.PathClassLoader", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -212,7 +257,7 @@ void install_loaders(Vm& vm) {
         return Value();
       });
 
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.lang.ClassLoader", "loadClass",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         auto* loader = loader_of(v, arg(v, args, 0));
@@ -224,8 +269,8 @@ void install_loaders(Vm& vm) {
         return Value(cls_obj);
       });
 
-  vm.register_framework_class("java.lang.Class");
-  vm.register_intrinsic(
+  fw.register_framework_class("java.lang.Class");
+  fw.register_intrinsic(
       "java.lang.Class", "newInstance",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto* h =
@@ -243,12 +288,12 @@ void install_loaders(Vm& vm) {
         }
         return Value(obj);
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.lang.Class", "getName",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         return arg(v, args, 0).as_obj()->get_field("name");
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.lang.Class", "getMethod",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto* h =
@@ -266,7 +311,7 @@ void install_loaders(Vm& vm) {
         method_obj->set_field("name", Value(name));
         return Value(method_obj);
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.lang.Class", "forName",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& name = arg(v, args, 0).as_str();
@@ -277,8 +322,8 @@ void install_loaders(Vm& vm) {
         return Value(cls_obj);
       });
 
-  vm.register_framework_class("java.lang.reflect.Method");
-  vm.register_intrinsic(
+  fw.register_framework_class("java.lang.reflect.Method");
+  fw.register_intrinsic(
       "java.lang.reflect.Method", "invoke",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto* h = std::any_cast<MethodHandle>(
@@ -297,61 +342,50 @@ void install_loaders(Vm& vm) {
       });
 }
 
-void install_native_loading(Vm& vm) {
-  vm.register_framework_class("java.lang.System");
-  vm.register_framework_class("java.lang.Runtime");
+void install_native_loading(Registry& fw) {
+  fw.register_framework_class("java.lang.System");
+  fw.register_framework_class("java.lang.Runtime");
 
-  auto load_by_name = [](Vm& v, const std::vector<Value>& args,
-                         std::size_t idx) -> Value {
-    v.load_native_library_by_name(arg(v, args, idx).as_str());
-    return Value();
-  };
-  auto load_by_path = [](Vm& v, const std::vector<Value>& args,
-                         std::size_t idx) -> Value {
-    v.load_native_library(arg(v, args, idx).as_str());
-    return Value();
-  };
-
-  vm.register_intrinsic("java.lang.System", "loadLibrary",
-                        [load_by_name](Vm& v, const std::vector<Value>& a) {
+  fw.register_intrinsic("java.lang.System", "loadLibrary",
+                        [](Vm& v, const std::vector<Value>& a) {
                           return load_by_name(v, a, 0);
                         });
-  vm.register_intrinsic("java.lang.System", "load",
-                        [load_by_path](Vm& v, const std::vector<Value>& a) {
+  fw.register_intrinsic("java.lang.System", "load",
+                        [](Vm& v, const std::vector<Value>& a) {
                           return load_by_path(v, a, 0);
                         });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.lang.System", "mapLibraryName",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         return Value(nativebin::map_library_name(arg(v, args, 0).as_str()));
       });
-  vm.register_intrinsic("java.lang.System", "currentTimeMillis",
+  fw.register_intrinsic("java.lang.System", "currentTimeMillis",
                         [](Vm& v, const std::vector<Value>&) -> Value {
                           return Value(v.device().services().current_time_ms());
                         });
 
-  vm.register_intrinsic("java.lang.Runtime", "getRuntime",
+  fw.register_intrinsic("java.lang.Runtime", "getRuntime",
                         [](Vm& v, const std::vector<Value>&) -> Value {
                           return Value(v.make_object("java.lang.Runtime"));
                         });
   // Instance forms: receiver in args[0], operand in args[1].
-  vm.register_intrinsic("java.lang.Runtime", "loadLibrary",
-                        [load_by_name](Vm& v, const std::vector<Value>& a) {
+  fw.register_intrinsic("java.lang.Runtime", "loadLibrary",
+                        [](Vm& v, const std::vector<Value>& a) {
                           return load_by_name(v, a, 1);
                         });
-  vm.register_intrinsic("java.lang.Runtime", "load",
-                        [load_by_path](Vm& v, const std::vector<Value>& a) {
+  fw.register_intrinsic("java.lang.Runtime", "load",
+                        [](Vm& v, const std::vector<Value>& a) {
                           return load_by_path(v, a, 1);
                         });
   // Android 7.1 adds Runtime.load0 (paper §III-B): one extra hook adapts the
   // system to the latest OS.
-  vm.register_intrinsic("java.lang.Runtime", "load0",
-                        [load_by_path](Vm& v, const std::vector<Value>& a) {
+  fw.register_intrinsic("java.lang.Runtime", "load0",
+                        [](Vm& v, const std::vector<Value>& a) {
                           return load_by_path(v, a, 1);
                         });
 
-  vm.register_framework_class("java.lang.Thread");
-  vm.register_intrinsic("java.lang.Thread", "sleep",
+  fw.register_framework_class("java.lang.Thread");
+  fw.register_intrinsic("java.lang.Thread", "sleep",
                         [](Vm& v, const std::vector<Value>& args) -> Value {
                           v.device().services().advance_ms(
                               args.empty() ? 0 : arg(v, args, 0).as_int());
@@ -359,9 +393,9 @@ void install_native_loading(Vm& vm) {
                         });
 }
 
-void install_files(Vm& vm) {
-  vm.register_framework_class("java.io.File");
-  vm.register_intrinsic(
+void install_files(Registry& fw) {
+  fw.register_framework_class("java.io.File");
+  fw.register_intrinsic(
       "java.io.File", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -374,21 +408,21 @@ void install_files(Vm& vm) {
         self->set_field("path", Value(std::move(path)));
         return Value();
       });
-  vm.register_intrinsic("java.io.File", "getPath",
+  fw.register_intrinsic("java.io.File", "getPath",
                         [](Vm& v, const std::vector<Value>& args) -> Value {
                           return arg(v, args, 0).as_obj()->get_field("path");
                         });
-  vm.register_intrinsic("java.io.File", "getAbsolutePath",
+  fw.register_intrinsic("java.io.File", "getAbsolutePath",
                         [](Vm& v, const std::vector<Value>& args) -> Value {
                           return arg(v, args, 0).as_obj()->get_field("path");
                         });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.io.File", "exists",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         return Value(
             v.device().vfs().exists(path_of(v, arg(v, args, 0))) ? 1 : 0);
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.io.File", "length",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto data =
@@ -396,11 +430,11 @@ void install_files(Vm& vm) {
         return Value(
             static_cast<std::int64_t>(data.has_value() ? data->size() : 0));
       });
-  vm.register_intrinsic("java.io.File", "mkdirs",
+  fw.register_intrinsic("java.io.File", "mkdirs",
                         [](Vm&, const std::vector<Value>&) -> Value {
                           return Value(1);  // directories are implicit
                         });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.io.File", "delete",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto path = path_of(v, arg(v, args, 0));
@@ -414,7 +448,7 @@ void install_files(Vm& vm) {
             v.device().vfs().delete_file(v.app().principal(), path);
         return Value(status ? 1 : 0);
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.io.File", "renameTo",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto from = path_of(v, arg(v, args, 0));
@@ -433,12 +467,12 @@ void install_files(Vm& vm) {
       });
 
   // Input streams.
-  vm.register_framework_class("java.io.InputStream");
-  vm.register_framework_class("java.io.FileInputStream",
+  fw.register_framework_class("java.io.InputStream");
+  fw.register_framework_class("java.io.FileInputStream",
                               "java.io.InputStream");
-  vm.register_framework_class("java.io.BufferedInputStream",
+  fw.register_framework_class("java.io.BufferedInputStream",
                               "java.io.InputStream");
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.io.FileInputStream", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -449,7 +483,7 @@ void install_files(Vm& vm) {
                     obj_node(FlowNodeKind::InputStream, self));
         return Value();
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.io.BufferedInputStream", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -459,21 +493,21 @@ void install_files(Vm& vm) {
                     obj_node(FlowNodeKind::InputStream, self));
         return Value();
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.io.InputStream", "read",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         return stream_read(v, arg(v, args, 0).as_obj());
       });
-  vm.register_intrinsic("java.io.InputStream", "close",
+  fw.register_intrinsic("java.io.InputStream", "close",
                         [](Vm&, const std::vector<Value>&) -> Value {
                           return Value();
                         });
 
   // Output streams.
-  vm.register_framework_class("java.io.OutputStream");
-  vm.register_framework_class("java.io.FileOutputStream",
+  fw.register_framework_class("java.io.OutputStream");
+  fw.register_framework_class("java.io.FileOutputStream",
                               "java.io.OutputStream");
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.io.FileOutputStream", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -481,7 +515,7 @@ void install_files(Vm& vm) {
         self->native_state() = OutputStreamState{path, false, "", {}};
         return Value();
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.io.OutputStream", "write",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -507,23 +541,23 @@ void install_files(Vm& vm) {
         }
         return Value();
       });
-  vm.register_intrinsic("java.io.OutputStream", "close",
+  fw.register_intrinsic("java.io.OutputStream", "close",
                         [](Vm&, const std::vector<Value>&) -> Value {
                           return Value();
                         });
 }
 
-void install_network(Vm& vm) {
-  vm.register_framework_class("java.net.URL");
-  vm.register_framework_class("java.net.URLConnection");
-  vm.register_framework_class("java.net.HttpURLConnection",
+void install_network(Registry& fw) {
+  fw.register_framework_class("java.net.URL");
+  fw.register_framework_class("java.net.URLConnection");
+  fw.register_framework_class("java.net.HttpURLConnection",
                               "java.net.URLConnection");
-  vm.register_framework_class("java.net.HttpsURLConnection",
+  fw.register_framework_class("java.net.HttpsURLConnection",
                               "java.net.HttpURLConnection");
-  vm.register_framework_class("java.net.FtpURLConnection",
+  fw.register_framework_class("java.net.FtpURLConnection",
                               "java.net.URLConnection");
 
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.net.URL", "<init>",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -535,7 +569,7 @@ void install_network(Vm& vm) {
         }
         return Value();
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.net.URL", "openConnection",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -546,36 +580,21 @@ void install_network(Vm& vm) {
         return Value(conn);
       });
 
-  auto open_input = [](Vm& v, const std::string& url, const FlowNode& url_node)
-      -> Value {
-    auto fetched = v.device().network().fetch(url);
-    if (!fetched) {
-      throw v.make_exception("IOException: " + fetched.error());
-    }
-    auto stream =
-        make_input_stream(v, "java.io.FileInputStream",
-                          support::Blob::take(std::move(fetched).take()));
-    // The stream is network-sourced, not file-sourced; present it as a
-    // plain InputStream node fed by the URL (Table I: URL -> InputStream).
-    v.emit_flow(url_node, obj_node(FlowNodeKind::InputStream, stream));
-    return Value(stream);
-  };
-
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.net.URL", "openStream",
-      [open_input](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
         const auto url = self->get_field("url").as_str();
         return open_input(v, url, obj_node(FlowNodeKind::Url, self, url));
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.net.URLConnection", "getInputStream",
-      [open_input](Vm& v, const std::vector<Value>& args) -> Value {
+      [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& conn = arg(v, args, 0).as_obj();
         return open_input(v, url_of_connection(v, conn),
                           url_node_of_connection(conn));
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.net.URLConnection", "getOutputStream",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& conn = arg(v, args, 0).as_obj();
@@ -584,11 +603,11 @@ void install_network(Vm& vm) {
             OutputStreamState{"", true, url_of_connection(v, conn), {}};
         return Value(stream);
       });
-  vm.register_intrinsic("java.net.URLConnection", "connect",
+  fw.register_intrinsic("java.net.URLConnection", "connect",
                         [](Vm&, const std::vector<Value>&) -> Value {
                           return Value();
                         });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.net.HttpURLConnection", "getResponseCode",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& conn = arg(v, args, 0).as_obj();
@@ -597,54 +616,54 @@ void install_network(Vm& vm) {
       });
 }
 
-void install_privacy_sources(Vm& vm) {
-  vm.register_intrinsic("android.telephony.TelephonyManager", "getDeviceId",
+void install_privacy_sources(Registry& fw) {
+  fw.register_intrinsic("android.telephony.TelephonyManager", "getDeviceId",
                         [](Vm& v, const std::vector<Value>&) -> Value {
                           return Value(v.device().services().imei());
                         });
-  vm.register_intrinsic("android.telephony.TelephonyManager",
+  fw.register_intrinsic("android.telephony.TelephonyManager",
                         "getSubscriberId",
                         [](Vm& v, const std::vector<Value>&) -> Value {
                           return Value(v.device().services().imsi());
                         });
-  vm.register_intrinsic("android.telephony.TelephonyManager",
+  fw.register_intrinsic("android.telephony.TelephonyManager",
                         "getSimSerialNumber",
                         [](Vm& v, const std::vector<Value>&) -> Value {
                           return Value(v.device().services().iccid());
                         });
-  vm.register_intrinsic("android.telephony.TelephonyManager",
+  fw.register_intrinsic("android.telephony.TelephonyManager",
                         "getLine1Number",
                         [](Vm& v, const std::vector<Value>&) -> Value {
                           return Value(v.device().services().line1_number());
                         });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.location.LocationManager", "getLastKnownLocation",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(v.device().services().last_known_location());
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.location.LocationManager", "isProviderEnabled",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(v.device().services().location_enabled() ? 1 : 0);
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.accounts.AccountManager", "getAccounts",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(support::join(v.device().services().accounts(), ";"));
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.content.pm.PackageManager", "getInstalledApplications",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(support::join(
             v.device().package_manager().installed_packages(), ";"));
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.content.pm.PackageManager", "getInstalledPackages",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(support::join(
             v.device().package_manager().installed_packages(), ";"));
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.content.ContentResolver", "query",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& uri = arg(v, args, 0).as_str();
@@ -653,91 +672,91 @@ void install_privacy_sources(Vm& vm) {
       });
 }
 
-void install_sinks_and_services(Vm& vm) {
-  vm.register_intrinsic(
+void install_sinks_and_services(Registry& fw) {
+  fw.register_intrinsic(
       "android.util.Log", "d",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("log", (args.empty() ? "" : args[0].display()) + ": " +
                                   (args.size() > 1 ? args[1].display() : ""));
         return Value();
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.util.Log", "e",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("log", (args.empty() ? "" : args[0].display()) + ": " +
                                   (args.size() > 1 ? args[1].display() : ""));
         return Value();
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.telephony.SmsManager", "sendTextMessage",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("sms", (args.empty() ? "" : args[0].display()) + ": " +
                                   (args.size() > 1 ? args[1].display() : ""));
         return Value();
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.app.NotificationManager", "notify",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("notification",
                        args.empty() ? "" : args[0].display());
         return Value();
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "com.android.launcher.Shortcut", "install",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("shortcut", args.empty() ? "" : args[0].display());
         return Value();
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.provider.Browser", "setHomepage",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("homepage", args.empty() ? "" : args[0].display());
         return Value();
       });
 
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.net.ConnectivityManager", "isConnected",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(v.device().services().has_connectivity() ? 1 : 0);
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.provider.Settings", "isAirplaneModeOn",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(v.device().services().airplane_mode() ? 1 : 0);
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.net.wifi.WifiManager", "isWifiEnabled",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(v.device().services().wifi_enabled() ? 1 : 0);
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.os.Environment", "getExternalStorageDirectory",
       [](Vm&, const std::vector<Value>&) -> Value {
         return Value(std::string(os::kExternalStorageDir));
       });
 
   // Context conveniences (receiver optional; always answer for the host app).
-  vm.register_framework_class("android.content.Context");
-  vm.register_framework_class("android.app.Activity",
+  fw.register_framework_class("android.content.Context");
+  fw.register_framework_class("android.app.Activity",
                               "android.content.Context");
-  vm.register_framework_class("android.app.Application",
+  fw.register_framework_class("android.app.Application",
                               "android.content.Context");
-  vm.register_framework_class("android.app.Service",
+  fw.register_framework_class("android.app.Service",
                               "android.content.Context");
-  vm.register_framework_class("android.content.BroadcastReceiver");
-  vm.register_framework_class("android.content.ContentProvider");
+  fw.register_framework_class("android.content.BroadcastReceiver");
+  fw.register_framework_class("android.content.ContentProvider");
 
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.content.Context", "getFilesDir",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(os::internal_storage_dir(v.app().package()) + "/files");
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.content.Context", "getCacheDir",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(os::internal_storage_dir(v.app().package()) + "/cache");
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.content.Context", "getPackageName",
       [](Vm& v, const std::vector<Value>&) -> Value {
         return Value(v.app().package());
@@ -746,7 +765,7 @@ void install_sinks_and_services(Vm& vm) {
   // retrieve the classes contained in another application" (paper §II).
   // Returns a Context whose getClassLoader() is a PathClassLoader over the
   // other app's installed APK — mediated by the same loader hook.
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.content.Context", "createPackageContext",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         // Static-style: the target package is the last argument.
@@ -758,7 +777,7 @@ void install_sinks_and_services(Vm& vm) {
         ctx->set_field("package", Value(pkg));
         return Value(ctx);
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.content.Context", "getClassLoader",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& self = arg(v, args, 0).as_obj();
@@ -775,22 +794,22 @@ void install_sinks_and_services(Vm& vm) {
   // Lifecycle no-ops inherited by app components.
   for (const auto* method : {"<init>", "setContentView", "onCreate",
                              "finish"}) {
-    vm.register_intrinsic("android.app.Activity", method,
+    fw.register_intrinsic("android.app.Activity", method,
                           [](Vm&, const std::vector<Value>&) -> Value {
                             return Value();
                           });
   }
-  vm.register_intrinsic("android.app.Application", "<init>",
+  fw.register_intrinsic("android.app.Application", "<init>",
                         [](Vm&, const std::vector<Value>&) -> Value {
                           return Value();
                         });
-  vm.register_intrinsic("android.app.Service", "<init>",
+  fw.register_intrinsic("android.app.Service", "<init>",
                         [](Vm&, const std::vector<Value>&) -> Value {
                           return Value();
                         });
 
   // Assets: open an entry from the installed APK.
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "android.content.res.AssetManager", "open",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& name = arg(v, args, 0).as_str();
@@ -816,14 +835,14 @@ void install_sinks_and_services(Vm& vm) {
       });
 }
 
-void install_strings_and_crypto(Vm& vm) {
-  vm.register_intrinsic(
+void install_strings_and_crypto(Registry& fw) {
+  fw.register_intrinsic(
       "java.lang.String", "getBytes",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& s = arg(v, args, 0).as_str();
         return Value(make_buffer(v, support::to_bytes(s)));
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.lang.String", "valueOf",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& val = arg(v, args, 0);
@@ -837,7 +856,7 @@ void install_strings_and_crypto(Vm& vm) {
   // Integrity verification primitive: apps that hash a file before loading
   // it are NOT code-injection vulnerable (paper: "manually confirmed that
   // even [the] developer fails to enforce integrity verification").
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "java.security.MessageDigest", "digest",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& val = arg(v, args, 0);
@@ -854,25 +873,25 @@ void install_strings_and_crypto(Vm& vm) {
       });
 }
 
-void install_libc(Vm& vm) {
-  vm.register_intrinsic(
+void install_libc(Registry& fw) {
+  fw.register_intrinsic(
       "libc", "ptrace",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("ptrace", args.empty() ? "" : args[0].display());
         return Value(1);
       });
-  vm.register_intrinsic("libc", "su",
+  fw.register_intrinsic("libc", "su",
                         [](Vm& v, const std::vector<Value>&) -> Value {
                           v.record_event("su", "");
                           return Value(1);
                         });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "libc", "hook_method",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("hook", args.empty() ? "" : args[0].display());
         return Value(1);
       });
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "libc", "exec",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         v.record_event("exec", args.empty() ? "" : args[0].display());
@@ -880,7 +899,7 @@ void install_libc(Vm& vm) {
       });
   // Stream-cipher "decryption" used by packer stubs: XOR with a repeating
   // key. Takes a buffer + key string, returns a new buffer.
-  vm.register_intrinsic(
+  fw.register_intrinsic(
       "libc", "xor_decrypt",
       [](Vm& v, const std::vector<Value>& args) -> Value {
         const auto& data = buffer_bytes(v, arg(v, args, 0));
@@ -898,15 +917,48 @@ void install_libc(Vm& vm) {
 
 }  // namespace
 
-void install_framework(Vm& vm) {
-  install_loaders(vm);
-  install_native_loading(vm);
-  install_files(vm);
-  install_network(vm);
-  install_privacy_sources(vm);
-  install_sinks_and_services(vm);
-  install_strings_and_crypto(vm);
-  install_libc(vm);
+Framework::Framework() {
+  Registry reg;
+  install_loaders(reg);
+  install_native_loading(reg);
+  install_files(reg);
+  install_network(reg);
+  install_privacy_sources(reg);
+  install_sinks_and_services(reg);
+  install_strings_and_crypto(reg);
+  install_libc(reg);
+
+  const auto intern = [this](const std::string& name) -> std::string_view {
+    return *names_.insert(name).first;
+  };
+  for (const auto& [cls, super] : reg.supers) {
+    const auto cls_name = intern(cls);
+    classes_.insert(cls_name);
+    // Flatten the superclass chain (at most 16 classes, as the framework's
+    // hierarchy walk always allowed): emplace keeps the first, i.e. the
+    // nearest, declaration of each method.
+    std::string current = cls;
+    for (int hop = 0; hop < 16; ++hop) {
+      for (auto it = reg.intrinsics.lower_bound({current, ""});
+           it != reg.intrinsics.end() && it->first.first == current; ++it) {
+        methods_.emplace(Key{cls_name, intern(it->first.second)}, it->second);
+      }
+      const auto sup = reg.supers.find(current);
+      if (sup == reg.supers.end() || sup->second.empty()) break;
+      current = sup->second;
+    }
+  }
+}
+
+const Framework& Framework::get() {
+  static const Framework table;
+  return table;
+}
+
+Intrinsic Framework::find(std::string_view cls,
+                          std::string_view method) const {
+  const auto it = methods_.find(Key{cls, method});
+  return it == methods_.end() ? nullptr : it->second;
 }
 
 }  // namespace dydroid::vm

@@ -4,7 +4,6 @@
 
 #include "support/log.hpp"
 #include "support/strings.hpp"
-#include "vm/frameworks.hpp"
 
 namespace dydroid::vm {
 
@@ -25,7 +24,6 @@ std::string basename_no_ext(std::string_view path) {
 Vm::Vm(os::Device& device, AppContext app, VmLimits limits)
     : device_(&device), app_(std::move(app)), limits_(limits) {
   boot_loader_ = new_loader(LoaderType::Boot, nullptr);
-  install_framework(*this);
 }
 
 Vm::~Vm() = default;
@@ -36,18 +34,21 @@ LoaderState* Vm::new_loader(LoaderType type, LoaderState* parent) {
 }
 
 Status Vm::load_app(const apk::ApkFile& apk) {
-  std::optional<dex::DexFile> classes;
+  std::shared_ptr<const dex::DexFile> classes;
   try {
-    classes = apk.read_classes_dex();
+    if (auto decoded = apk.read_classes_dex()) {
+      classes = std::make_shared<const dex::DexFile>(*std::move(decoded));
+    }
   } catch (const support::ParseError& e) {
     return Status::failure(std::string("load_app: ") + e.what());
   }
-  if (!classes.has_value()) {
-    return Status::failure("load_app: no classes.dex");
-  }
+  return load_app(std::move(classes));
+}
+
+Status Vm::load_app(std::shared_ptr<const dex::DexFile> classes) {
+  if (classes == nullptr) return Status::failure("load_app: no classes.dex");
   app_loader_ = new_loader(LoaderType::AppPath, boot_loader_);
-  app_loader_->add_dex(
-      std::make_shared<const dex::DexFile>(*std::move(classes)));
+  app_loader_->add_dex(std::move(classes));
   return Status();
 }
 
@@ -74,39 +75,17 @@ LoaderState* Vm::current_loader() const {
   return app_loader_ != nullptr ? app_loader_ : boot_loader_;
 }
 
-void Vm::register_intrinsic(std::string_view cls, std::string_view method,
-                            Intrinsic fn) {
-  intrinsics_[std::string(cls) + "." + std::string(method)] = std::move(fn);
-  register_framework_class(cls);
-}
-
-void Vm::register_framework_class(std::string_view name,
-                                  std::string_view super) {
-  auto& entry = framework_super_[std::string(name)];
-  if (!super.empty()) entry = std::string(super);
-}
-
-const Intrinsic* Vm::find_intrinsic(const std::string& cls,
-                                    const std::string& method) const {
-  // Walk the framework class hierarchy: e.g. HttpURLConnection ->
-  // URLConnection for getInputStream.
-  std::string current = cls;
-  for (int hop = 0; hop < 16; ++hop) {
-    const auto it = intrinsics_.find(current + "." + method);
-    if (it != intrinsics_.end()) return &it->second;
-    const auto sup = framework_super_.find(current);
-    if (sup == framework_super_.end() || sup->second.empty()) break;
-    current = sup->second;
-  }
-  return nullptr;
-}
-
 Value Vm::call_intrinsic(const std::string& cls, const std::string& method,
                          std::vector<Value> args) {
-  const auto* fn = find_intrinsic(cls, method);
+  const auto fn = framework_->find(cls, method);
   if (fn == nullptr) {
     throw make_exception("NoSuchMethodError: " + cls + "." + method);
   }
+  return call_intrinsic(fn, cls, method, std::move(args));
+}
+
+Value Vm::call_intrinsic(Intrinsic fn, const std::string& cls,
+                         const std::string& method, std::vector<Value> args) {
   frames_.push_back(Frame{nullptr, cls, method});
   if (hooks_.on_api_call) hooks_.on_api_call(cls, method);
   if (hooks_.on_intrinsic_call) hooks_.on_intrinsic_call(cls, method, args);
@@ -119,7 +98,7 @@ Value Vm::call_intrinsic(const std::string& cls, const std::string& method,
   std::uint32_t taint = 0;
   for (const auto& a : args) taint |= a.taint();
   if (hooks_.taint_source) taint |= hooks_.taint_source(cls, method, args);
-  auto result = (*fn)(*this, args);
+  auto result = fn(*this, args);
   result.add_taint(taint);
   return result;
 }
@@ -139,8 +118,7 @@ RuntimeClass* Vm::load_class(LoaderState* loader, std::string_view name) {
     if (from_parent != nullptr) return from_parent;
   }
   if (loader->type() == LoaderType::Boot) {
-    if (framework_super_.find(std::string(name)) != framework_super_.end() ||
-        is_framework_class(name)) {
+    if (framework_->declares(name) || is_framework_class(name)) {
       auto rt = std::make_unique<RuntimeClass>(std::string(name), nullptr,
                                                nullptr, loader);
       return loader->define(std::move(rt));
@@ -373,7 +351,7 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
         }
         if (rt != nullptr && rt->is_framework()) rt = nullptr;
         if (rt == nullptr && !is_framework_class(name) &&
-            framework_super_.find(name) == framework_super_.end()) {
+            !framework_->declares(name)) {
           throw make_exception("ClassNotFoundException: " + name);
         }
         regs[ins.a] = Value(make_object(name, rt));
@@ -465,8 +443,8 @@ Value Vm::dispatch_invoke(RuntimeClass* caller_cls, const dex::DexFile& dexf,
     // Framework object, or app class inheriting a framework method:
     // dispatch by the receiver's dynamic class first, then superclass walk,
     // then by the declared class.
-    if (find_intrinsic(receiver->class_name(), method_name) != nullptr) {
-      return call_intrinsic(receiver->class_name(), method_name,
+    if (const auto fn = framework_->find(receiver->class_name(), method_name)) {
+      return call_intrinsic(fn, receiver->class_name(), method_name,
                             std::move(args));
     }
     if (auto* start = receiver->rt_class()) {
@@ -476,8 +454,8 @@ Value Vm::dispatch_invoke(RuntimeClass* caller_cls, const dex::DexFile& dexf,
       while (rc != nullptr && !rc->is_framework() && hops++ < 32) {
         const auto& super = rc->super_name();
         if (super.empty()) break;
-        if (find_intrinsic(super, method_name) != nullptr) {
-          return call_intrinsic(super, method_name, std::move(args));
+        if (const auto fn = framework_->find(super, method_name)) {
+          return call_intrinsic(fn, super, method_name, std::move(args));
         }
         RuntimeClass* next = nullptr;
         try {

@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -20,6 +18,7 @@
 #include "nativebin/native_library.hpp"
 #include "os/device.hpp"
 #include "vm/classloader.hpp"
+#include "vm/frameworks.hpp"
 #include "vm/instrumentation.hpp"
 #include "vm/value.hpp"
 
@@ -66,10 +65,6 @@ struct VmEvent {
   std::string detail;
 };
 
-/// Signature of a framework intrinsic.
-class Vm;
-using Intrinsic = std::function<Value(Vm&, const std::vector<Value>&)>;
-
 class Vm {
  public:
   Vm(os::Device& device, AppContext app, VmLimits limits = {});
@@ -80,10 +75,14 @@ class Vm {
   /// Install the app's code: parses classes.dex from the (already installed)
   /// APK and builds the app PathClassLoader.
   support::Status load_app(const apk::ApkFile& apk);
+  /// Same, from an already decoded classes.dex (null: the APK has none).
+  support::Status load_app(std::shared_ptr<const dex::DexFile> classes);
 
   [[nodiscard]] Instrumentation& instrumentation() { return hooks_; }
   [[nodiscard]] os::Device& device() { return *device_; }
   [[nodiscard]] const AppContext& app() const { return app_; }
+  /// The process-wide framework table this Vm serves intrinsics from.
+  [[nodiscard]] const Framework& framework() const { return *framework_; }
 
   // --- entry points -------------------------------------------------------
 
@@ -144,13 +143,6 @@ class Vm {
   Value invoke(RuntimeClass* cls, const dex::Method& method,
                std::vector<Value> args);
 
-  /// Register an intrinsic under "Class.method" (tests may override).
-  void register_intrinsic(std::string_view cls, std::string_view method,
-                          Intrinsic fn);
-  /// Declare a framework class (boot loader will resolve it) and its super.
-  void register_framework_class(std::string_view name,
-                                std::string_view super = "");
-
   void record_event(std::string kind, std::string detail);
   [[nodiscard]] const std::vector<VmEvent>& events() const { return events_; }
 
@@ -183,13 +175,15 @@ class Vm {
                         std::vector<Value>& regs);
   Value call_intrinsic(const std::string& cls, const std::string& method,
                        std::vector<Value> args);
-  [[nodiscard]] const Intrinsic* find_intrinsic(
-      const std::string& cls, const std::string& method) const;
+  /// Same, with `cls.method` already resolved to `fn`.
+  Value call_intrinsic(Intrinsic fn, const std::string& cls,
+                       const std::string& method, std::vector<Value> args);
   RuntimeClass* resolve_app_method(RuntimeClass* start,
                                    std::string_view method_name,
                                    const dex::Method** out);
   LoaderState* new_loader(LoaderType type, LoaderState* parent);
 
+  const Framework* framework_ = &Framework::get();
   os::Device* device_;
   AppContext app_;
   VmLimits limits_;
@@ -198,9 +192,6 @@ class Vm {
   std::vector<std::unique_ptr<LoaderState>> loaders_;
   LoaderState* boot_loader_ = nullptr;
   LoaderState* app_loader_ = nullptr;
-
-  std::map<std::string, Intrinsic> intrinsics_;       // "cls.method"
-  std::map<std::string, std::string> framework_super_;  // class -> super
 
   struct LoadedNative {
     std::string path;

@@ -179,6 +179,45 @@ TEST(DexFile, ValidateCatchesRegisterOverflow) {
   EXPECT_NE(dex.validate(), std::nullopt);
 }
 
+TEST(DexFile, ValidateErrorTextNamesClassMethodAndPc) {
+  // One bad instruction at pc 1 (after a Nop) per check, in check order.
+  auto invalid = [](Instruction bad) {
+    DexFile dex;
+    dex.intern("x");  // string index 0 is valid, 99 is not
+    ClassDef cls;
+    cls.name = "a.B";
+    Method m;
+    m.name = "f";
+    m.num_registers = 2;
+    m.code.push_back(Instruction{});
+    m.code.push_back(bad);
+    cls.methods.push_back(m);
+    dex.add_class(cls);
+    return dex.validate().value_or("<valid>");
+  };
+  Instruction reg;
+  reg.op = Op::Move;
+  reg.b = 7;
+  EXPECT_EQ(invalid(reg), "a.B.f@1: register out of range");
+  Instruction branch;
+  branch.op = Op::Goto;
+  branch.target = 5;
+  EXPECT_EQ(invalid(branch), "a.B.f@1: branch target out of range");
+  Instruction cls;
+  cls.op = Op::NewInstance;
+  cls.cls = 99;
+  EXPECT_EQ(invalid(cls), "a.B.f@1: class index bad");
+  Instruction name;
+  name.op = Op::ConstStr;
+  name.name = 99;
+  EXPECT_EQ(invalid(name), "a.B.f@1: name index bad");
+  Instruction arg;
+  arg.op = Op::InvokeStatic;
+  arg.argc = 1;
+  arg.args[0] = 9;
+  EXPECT_EQ(invalid(arg), "a.B.f@1: arg register bad");
+}
+
 TEST(DexFile, InternDeduplicates) {
   DexFile dex;
   const auto a = dex.intern("hello");

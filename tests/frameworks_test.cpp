@@ -7,6 +7,7 @@
 
 #include "dex/builder.hpp"
 #include "os/device.hpp"
+#include "vm/frameworks.hpp"
 #include "vm/vm.hpp"
 
 namespace dydroid::vm {
@@ -364,6 +365,53 @@ TEST_F(FrameworkTest, UnknownIntrinsicThrowsNoSuchMethod) {
     EXPECT_NE(std::string(e.what()).find("NoSuchMethodError"),
               std::string::npos);
   }
+}
+
+TEST_F(FrameworkTest, HttpsConnectionReadsThroughUrlConnection) {
+  device_.network().host("https://cdn.example/p", support::to_bytes("Z"));
+  const auto result = run([](dex::MethodBuilder& m) {
+    m.new_instance(0, "java.net.HttpsURLConnection");
+    m.const_str(1, "https://cdn.example/p");
+    m.iput(1, 0, "url");
+    m.invoke_virtual("java.net.HttpsURLConnection", "getInputStream", {0});
+    m.move_result(2);
+    m.invoke_virtual("java.io.InputStream", "read", {2});
+    m.move_result(3);
+    m.invoke_static("java.lang.String", "valueOf", {3});
+    m.move_result(4);
+    m.ret(4);
+  });
+  EXPECT_EQ(result.as_str(), "Z");
+}
+
+// ---------------------------------------------------------------------------
+// The framework table: inheritance is flattened when it is built.
+// ---------------------------------------------------------------------------
+
+TEST(FrameworkTable, InheritedMethodsResolveToTheNearestDeclaration) {
+  const auto& fw = Framework::get();
+  // Two hops: HttpsURLConnection -> HttpURLConnection -> URLConnection.
+  const auto get_input = fw.find("java.net.URLConnection", "getInputStream");
+  ASSERT_NE(get_input, nullptr);
+  EXPECT_EQ(fw.find("java.net.HttpsURLConnection", "getInputStream"),
+            get_input);
+  EXPECT_EQ(fw.find("java.net.HttpURLConnection", "getInputStream"),
+            get_input);
+  EXPECT_EQ(fw.find("java.net.HttpsURLConnection", "getResponseCode"),
+            fw.find("java.net.HttpURLConnection", "getResponseCode"));
+  EXPECT_EQ(fw.find("java.net.FtpURLConnection", "getResponseCode"),
+            nullptr);
+  // Activity declares setContentView and inherits Context's getFilesDir.
+  EXPECT_NE(fw.find("android.app.Activity", "setContentView"), nullptr);
+  EXPECT_EQ(fw.find("android.app.Activity", "getFilesDir"),
+            fw.find("android.content.Context", "getFilesDir"));
+  EXPECT_EQ(fw.find("android.content.Context", "setContentView"), nullptr);
+  // App classes and unknown methods are not in the table.
+  EXPECT_EQ(fw.find("com.fw.app.T", "setContentView"), nullptr);
+  EXPECT_EQ(fw.find("java.lang.System", "bogus"), nullptr);
+  EXPECT_TRUE(fw.declares("java.net.HttpsURLConnection"));
+  EXPECT_TRUE(fw.declares("java.lang.ClassLoader"));
+  EXPECT_FALSE(fw.declares("com.fw.app.T"));
 }
 
 TEST_F(FrameworkTest, NetWriteRecordsEvent) {

@@ -11,6 +11,8 @@
 
 #include "appgen/generator.hpp"
 #include "core/pipeline.hpp"
+#include "core/report_json.hpp"
+#include "support/fault.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"
 #include "support/trace.hpp"
@@ -66,6 +68,36 @@ TEST(ParseOnce, RewrittenAppStillParsesExactlyOnce) {
   const auto snapshot = analyze_with_metrics(make_app(false));
   EXPECT_EQ(counter_value(snapshot, "pipeline.parses"), 1u);
   EXPECT_GT(counter_value(snapshot, "pipeline.bytes_copied"), 0u);
+}
+
+TEST(ParseOnce, VmReusesTheStaticStageDecodeOfClassesDex) {
+  // StaticStage's decompile is the first classes.dex decode; the VM takes
+  // that decode instead of making a second one. So with the second decode
+  // armed to fail, an exercised app that loads no code at runtime (its DCL
+  // call is dead code) reports exactly as it does without faults.
+  support::set_log_level(support::LogLevel::Error);
+  const auto plan = support::FaultPlan::parse("dex.parse=nth:2");
+  ASSERT_TRUE(plan.ok()) << plan.error();
+  for (const bool write_permission : {true, false}) {
+    SCOPED_TRACE(write_permission ? "no rewrite" : "rewritten");
+    appgen::AppSpec spec;
+    spec.package = "com.example.decodeonce";
+    spec.category = "TOOLS";
+    spec.write_external_permission = write_permission;
+    spec.dead_dex_dcl = true;
+    support::Rng rng(0xDEC0DE);
+    const auto app = appgen::build_app(spec, rng);
+    const auto analyze = [&app](const support::FaultPlan* faults) {
+      core::PipelineOptions options;
+      options.faults = faults;
+      return core::DyDroid(std::move(options)).analyze(app.apk, 0x1234);
+    };
+    const auto clean = analyze(nullptr);
+    ASSERT_EQ(clean.status, core::DynamicStatus::kExercised);
+    ASSERT_TRUE(clean.binaries.empty());
+    EXPECT_EQ(core::report_to_json(analyze(&plan.value())),
+              core::report_to_json(clean));
+  }
 }
 
 }  // namespace

@@ -188,11 +188,13 @@ TEST(TraceOverhead, EnabledSpanCostIsBounded) {
 TEST(TraceOverhead, MetricsCorpusOverheadWithinBudget) {
   // The whole-corpus cost contract (docs/OBSERVABILITY.md): running with
   // metrics enabled must stay within low single digits of the
-  // uninstrumented wall time. Three interleaved A/B pairs, compared at
+  // uninstrumented wall time. Five interleaved A/B pairs, compared at
   // their minima — a lone pair on a shared 1-vCPU runner once measured a
-  // 39% "regression" that was pure scheduler noise. The bound is 15%, a
-  // few times the expected overhead but far below a real hot-path
-  // regression (the pre-cache slot scan showed up as >30%).
+  // 39% "regression" that was pure scheduler noise, and with the corpus
+  // run down to ≈50 ms, three pairs still read up to 33% on a 4-vCPU box
+  // while the true overhead was ≈0. The bound is 15%, a few times the
+  // expected overhead but far below a real hot-path regression (the
+  // pre-cache slot scan showed up as >30%).
   appgen::CorpusConfig config;
   config.scale = 0.01;
   const auto corpus = appgen::generate_corpus(config);
@@ -205,7 +207,7 @@ TEST(TraceOverhead, MetricsCorpusOverheadWithinBudget) {
   support::set_metrics_enabled(false);
   double plain_ms = 0.0;
   double metered_ms = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
+  for (int rep = 0; rep < 5; ++rep) {
     const auto plain = runner.run(corpus);
     support::set_metrics_enabled(true);
     support::metrics_reset();

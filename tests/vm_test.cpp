@@ -2,6 +2,8 @@
 // stream instrumentation, native loading, reflection, budgets.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "dex/builder.hpp"
 #include "nativebin/native_library.hpp"
 #include "os/device.hpp"
@@ -158,8 +160,40 @@ TEST_F(VmTest, FrameworkSuperMethodFallsThrough) {
       .ret(2)
       .done();
   boot(b.build());
+  std::vector<std::string> calls;
+  vm_->instrumentation().on_api_call = [&](const std::string& c,
+                                           const std::string& m) {
+    calls.push_back(c + "." + m);
+  };
   auto obj = vm_->instantiate("com.example.app.Main");
   EXPECT_EQ(vm_->call_method(obj, "onCreate").as_int(), 123);
+  // The inherited setContentView dispatches to Activity's intrinsic.
+  EXPECT_EQ(calls, std::vector<std::string>{
+                       "android.app.Activity.setContentView"});
+}
+
+TEST_F(VmTest, UnknownFrameworkMethodThrowsNoSuchMethod) {
+  dex::DexBuilder b;
+  auto cls = b.cls("com.example.app.U");
+  cls.static_method("on_static", 0)
+      .invoke_static("java.lang.System", "bogus")
+      .done();
+  auto m = cls.static_method("on_object", 0);
+  m.new_instance(0, "java.net.HttpsURLConnection");
+  m.invoke_virtual("java.net.HttpsURLConnection", "bogus", {0});
+  m.done();
+  boot(b.build());
+  for (const auto& [method, message] :
+       {std::pair{"on_static", "NoSuchMethodError: java.lang.System.bogus"},
+        std::pair{"on_object",
+                  "NoSuchMethodError: java.net.HttpsURLConnection.bogus"}}) {
+    try {
+      (void)vm_->call_static("com.example.app.U", method);
+      ADD_FAILURE() << "expected VmException from " << method;
+    } catch (const VmException& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -536,6 +570,66 @@ TEST_F(VmTest, FetchFailsWithoutConnectivity) {
   device_.services().set_wifi_enabled(false);
   auto main = vm_->instantiate("com.example.app.Main");
   EXPECT_THROW((void)vm_->call_method(main, "update"), VmException);
+}
+
+// ---------------------------------------------------------------------------
+// The process-wide framework table.
+// ---------------------------------------------------------------------------
+
+TEST(FrameworkTable, VmsShareOneTable) {
+  // Constructing a Vm registers nothing: every Vm serves the same table.
+  os::Device device;
+  const Vm first(device, AppContext{});
+  const Vm second(device, AppContext{});
+  EXPECT_EQ(&first.framework(), &second.framework());
+  EXPECT_EQ(&first.framework(), &Framework::get());
+}
+
+/// Run the downloader on a fresh device and Vm: the framework calls it made,
+/// its VM events and the size of the file it wrote, as one text.
+std::string run_downloader() {
+  os::Device device;
+  device.network().host("http://cdn.example.com/update.dex",
+                        payload_dex_bytes());
+  const auto man = base_manifest();
+  const auto apk = wrap_apk(downloader_app(), man);
+  if (!device.install(apk).ok()) return "install failed";
+  AppContext app;
+  app.manifest = man;
+  Vm vm(device, std::move(app));
+  if (!vm.load_app(apk).ok()) return "load failed";
+  std::string out;
+  vm.instrumentation().on_api_call = [&](const std::string& c,
+                                         const std::string& m) {
+    out += c + "." + m + "\n";
+  };
+  (void)vm.call_method(vm.instantiate("com.example.app.Main"), "update");
+  for (const auto& e : vm.events()) out += e.kind + ":" + e.detail + "\n";
+  const auto file =
+      device.vfs().read_file("/data/data/com.example.app/files/update.dex");
+  return out + (file ? std::to_string(file->size()) : "no file");
+}
+
+TEST(FrameworkTable, VmsOnFourThreadsMatchOneThread) {
+  // The threads start first, so they also race to build the table.
+  std::vector<std::vector<std::string>> per_thread(4);
+  {
+    std::vector<std::jthread> threads;
+    for (auto& results : per_thread) {
+      threads.emplace_back([&results] {
+        for (int i = 0; i < 8; ++i) results.push_back(run_downloader());
+      });
+    }
+  }
+  const auto expected = run_downloader();
+  // Dispatched by the receiver's class, inherited from URLConnection.
+  EXPECT_NE(expected.find("java.net.HttpURLConnection.getInputStream"),
+            std::string::npos)
+      << expected;
+  for (const auto& results : per_thread) {
+    ASSERT_EQ(results.size(), 8u);
+    for (const auto& result : results) EXPECT_EQ(result, expected);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -20,7 +20,16 @@
 #
 # runs the sharded-execution and merge suites (docs/SHARDING.md), which
 # replay merged journals at several worker counts and so make a good TSan
-# target too. RLIMIT_AS is auto-skipped under ASan/TSan
+# target too.
+#
+#   tools/run_sanitizer_matrix.sh tsan -- -L vm
+#
+# runs the MiniDalvik suites (vm, vm_loading, frameworks,
+# interpreter_property, exception_handling). Every Vm on every runner
+# thread serves intrinsics from one process-wide framework table, built on
+# first use; vm_test constructs and runs Vms on four threads at once, so
+# this pass checks that build and the shared reads. RLIMIT_AS is
+# auto-skipped under ASan/TSan
 # (address_space_limit_supported); the rest of the sandbox runs sanitized
 # like everything else.
 set -euo pipefail
