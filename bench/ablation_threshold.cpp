@@ -15,13 +15,7 @@ using namespace dydroid::malware;
 int main() {
   std::printf("Ablation: ACFG similarity threshold sweep\n\n");
 
-  DroidNative detector(0.9);
-  support::Rng rng(123);
-  for (int f = 0; f < kNumFamilies; ++f) {
-    for (const auto& s : generate_training_samples(family_at(f), 4, rng)) {
-      detector.train(family_name(family_at(f)), s);
-    }
-  }
+  const DroidNative detector = train_detector(4, 123);
 
   // Score pools.
   constexpr int kVariantsPerFamily = 8;

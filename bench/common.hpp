@@ -1,11 +1,11 @@
 // Shared bench harness: generates the paper-calibrated corpus, runs the
-// full DyDroid pipeline over it through the parallel CorpusRunner, and
-// exposes the measured reports (in corpus order) to the per-table printers.
-// Scale via DYDROID_SCALE (default 0.05 = ~2,937 apps); worker count via
-// DYDROID_JOBS (default: hardware concurrency); Chrome trace of the run
-// via DYDROID_TRACE=out.json (docs/OBSERVABILITY.md); fork-per-app
-// sandboxing via DYDROID_ISOLATE=1, persistent sandbox workers via
-// DYDROID_ISOLATE=pool (docs/ISOLATION.md).
+// full DyDroid pipeline over it through the parallel CorpusRunner (thread
+// mode), and exposes the measured reports (in corpus order) to the
+// per-table printers. Scale via DYDROID_SCALE (default 0.05 = ~2,937 apps);
+// worker count via DYDROID_JOBS (default: hardware concurrency). Faults,
+// journaling, caching, sandboxing, sharding and tracing are `dydroid
+// survey` flags (--faults, --journal/--resume, --cache, --isolate,
+// --shard, --trace).
 #pragma once
 
 #include <cstdio>
@@ -38,10 +38,6 @@ struct Measurement {
   double wall_ms = 0.0;           // corpus wall time
   std::size_t threads = 1;        // workers used
 };
-
-/// Train MiniDroidNative the way the paper does: samples from 19 families
-/// (scaled-down stand-in for the 1,240-app training set).
-malware::DroidNative make_trained_detector(int samples_per_family = 4);
 
 /// Generate the corpus and run the pipeline over every app (in parallel;
 /// results are deterministic and in corpus order).

@@ -187,16 +187,9 @@ void BM_AcfgSimilarity(benchmark::State& state) {
 BENCHMARK(BM_AcfgSimilarity);
 
 void BM_DetectorScan(benchmark::State& state) {
-  malware::DroidNative detector(0.9);
   support::Rng rng(4);
-  for (int f = 0; f < malware::kNumFamilies; ++f) {
-    for (const auto& s :
-         malware::generate_training_samples(malware::family_at(f),
-                                            static_cast<int>(state.range(0)),
-                                            rng)) {
-      detector.train(malware::family_name(malware::family_at(f)), s);
-    }
-  }
+  const auto detector =
+      malware::train_detector(static_cast<int>(state.range(0)), rng);
   const auto payload =
       malware::generate_payload(malware::Family::ChathookPtrace, {}, rng);
   for (auto _ : state) {

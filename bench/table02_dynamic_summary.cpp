@@ -3,6 +3,7 @@
 // (Native column): failures (rewriting failure / no activity / crash),
 // exercised, and actually-intercepted counts.
 #include "common.hpp"
+#include "malware/families.hpp"
 
 using namespace dydroid;
 using namespace dydroid::bench;
@@ -46,7 +47,7 @@ void print_column(const char* name, const Column& m, const Column& paper) {
 }  // namespace
 
 int main() {
-  const auto detector = make_trained_detector();
+  const auto detector = malware::train_detector(4, 0xD401DA);
   const auto m = measure_corpus(&detector);
   print_title("Table II",
               "dynamic analysis summary (DEX & native columns)");

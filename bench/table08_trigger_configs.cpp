@@ -3,6 +3,7 @@
 // files are still loaded — system time before release, airplane mode with
 // WiFi re-enabled, airplane mode with WiFi off, and location service off.
 #include "common.hpp"
+#include "malware/families.hpp"
 
 using namespace dydroid;
 using namespace dydroid::bench;
@@ -20,7 +21,7 @@ int malware_files(const appgen::GeneratedApp& app,
 }  // namespace
 
 int main() {
-  const auto detector = make_trained_detector();
+  const auto detector = malware::train_detector(4, 0xD401DA);
   const auto m = measure_corpus(&detector);
   print_title("Table VIII",
               "malicious code loaded under runtime configurations");

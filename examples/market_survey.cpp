@@ -27,17 +27,7 @@ int main() {
   appgen::CorpusConfig config;
   config.scale = scale;
   const auto corpus = appgen::generate_corpus(config);
-  malware::DroidNative detector(0.9);
-  {
-    support::Rng rng(0xD401DA);
-    for (int f = 0; f < malware::kNumFamilies; ++f) {
-      const auto family = malware::family_at(f);
-      for (const auto& s :
-           malware::generate_training_samples(family, 4, rng)) {
-        detector.train(malware::family_name(family), s);
-      }
-    }
-  }
+  const auto detector = malware::train_detector(4, 0xD401DA);
   std::printf("surveying %zu apps (scale %.3f), detector trained on %zu"
               " samples\n\n",
               corpus.apps.size(), scale, detector.training_size());

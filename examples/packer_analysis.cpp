@@ -64,7 +64,8 @@ int main() {
 
   // Bonus: the anti-repackaging trap crashes strict tooling.
   const auto rewritten = analysis::rewrite_with_permission(
-      packed.serialize(), manifest::kWriteExternalStorage);
+      apk::ApkImage::parse(support::Blob::take(packed.serialize())),
+      manifest::kWriteExternalStorage);
   std::printf("\nanti-repackaging: strict repacker says: %s\n",
               rewritten.ok() ? "(rewrote fine?)" : rewritten.error().c_str());
   return 0;

@@ -18,19 +18,6 @@ using namespace dydroid;
 
 namespace {
 
-/// Train the store's scanner and DyDroid's detector the same way.
-malware::DroidNative make_scanner() {
-  malware::DroidNative scanner(0.9);
-  support::Rng rng(11);
-  for (int f = 0; f < malware::kNumFamilies; ++f) {
-    const auto family = malware::family_at(f);
-    for (const auto& s : malware::generate_training_samples(family, 4, rng)) {
-      scanner.train(malware::family_name(family), s);
-    }
-  }
-  return scanner;
-}
-
 /// App_L: downloads a payload URL and DexClassLoader-loads it.
 apk::ApkFile build_app_l(const std::string& url) {
   manifest::Manifest man;
@@ -100,7 +87,8 @@ core::AppReport run(const apk::ApkFile& apk, const malware::DroidNative* det,
 }  // namespace
 
 int main() {
-  const auto scanner = make_scanner();
+  // The store's scanner, also DyDroid's detector.
+  const auto scanner = malware::train_detector(4, 11);
   support::Rng rng(5);
   const auto app_m = malware::generate_payload(
       malware::Family::SwissCodeMonkeys, malware::PayloadOptions{}, rng);

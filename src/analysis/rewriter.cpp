@@ -5,7 +5,6 @@
 
 namespace dydroid::analysis {
 
-using support::Bytes;
 using support::Result;
 
 Result<apk::ApkImage> rewrite_with_permission(const apk::ApkImage& image,
@@ -34,27 +33,6 @@ Result<apk::ApkImage> rewrite_with_permission(const apk::ApkImage& image,
   }
   pkg.sign(kResignKey);
   return apk::ApkImage::from_file(std::move(pkg));
-}
-
-Result<Bytes> rewrite_with_permission(std::span<const std::uint8_t> apk_bytes,
-                                      std::string_view permission) {
-  if (support::fault_fire(support::FaultSite::kRewriteRepack)) {
-    return Result<Bytes>::failure(
-        support::fault_message(support::FaultSite::kRewriteRepack));
-  }
-  apk::ApkFile pkg;
-  try {
-    // Strict mode: repackaging tooling verifies every entry, which is what
-    // anti-repackaging CRC traps exploit.
-    pkg = apk::ApkFile::deserialize(apk_bytes, apk::ParseMode::kStrict);
-    auto man = pkg.read_manifest();
-    man.add_permission(permission);
-    pkg.write_manifest(man);
-  } catch (const support::ParseError& e) {
-    return Result<Bytes>::failure(std::string("rewrite: ") + e.what());
-  }
-  pkg.sign(kResignKey);
-  return pkg.serialize();
 }
 
 }  // namespace dydroid::analysis

@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "apk/apk.hpp"
-#include "support/bytes.hpp"
 #include "support/error.hpp"
 
 namespace dydroid::analysis {
@@ -24,10 +23,5 @@ inline constexpr std::string_view kResignKey = "dydroid-resign";
 /// or failure when an anti-repackaging trap or malformed manifest trips it.
 support::Result<apk::ApkImage> rewrite_with_permission(
     const apk::ApkImage& image, std::string_view permission);
-
-/// Byte-level convenience for callers outside the staged pipeline: strict
-/// parse + rewrite + serialize, exactly the historical contract.
-support::Result<support::Bytes> rewrite_with_permission(
-    std::span<const std::uint8_t> apk_bytes, std::string_view permission);
 
 }  // namespace dydroid::analysis

@@ -49,26 +49,16 @@ StageResult StaticStage::run(AnalysisContext& ctx) const {
 // ---- RewriteStage ----------------------------------------------------------
 
 StageResult RewriteStage::run(AnalysisContext& ctx) const {
+  if (!ctx.ir.has_value() || !ctx.image.valid()) {
+    return StageResult::failure("RewriteStage: needs StaticStage");
+  }
   // The measurement log lives on external storage; inject the permission if
   // missing. Anti-repackaging apps crash the (strict) repacker here.
   if (ctx.ir->manifest.has_permission(manifest::kWriteExternalStorage)) {
     return StageAction::kContinue;
   }
-  // Custom stage lists may reach here without StaticStage's parse; fall
-  // back to parsing the input blob once so the rewriter always gets an
-  // image (never a second parse on the canonical path).
-  apk::ApkImage image = ctx.image;
-  if (!image.valid()) {
-    try {
-      image = apk::ApkImage::parse(ctx.apk, apk::ParseMode::kLenient);
-    } catch (const support::ParseError& e) {
-      ctx.report.status = DynamicStatus::kRewritingFailure;
-      ctx.report.crash_message = std::string("rewrite: ") + e.what();
-      return StageAction::kStop;
-    }
-  }
   auto result = analysis::rewrite_with_permission(
-      image, manifest::kWriteExternalStorage);
+      ctx.image, manifest::kWriteExternalStorage);
   if (!result.ok()) {
     ctx.report.status = DynamicStatus::kRewritingFailure;
     ctx.report.crash_message = result.error();
@@ -94,6 +84,9 @@ std::shared_ptr<const dex::DexFile> take_classes_dex(analysis::Ir& ir) {
 }  // namespace
 
 StageResult DynamicStage::run(AnalysisContext& ctx) const {
+  if (!ctx.ir.has_value() || !ctx.image.valid()) {
+    return StageResult::failure("DynamicStage: needs StaticStage");
+  }
   std::optional<os::Device> device;
   {
     TRACE_SPAN("phase", "dynamic.boot");
@@ -103,18 +96,12 @@ StageResult DynamicStage::run(AnalysisContext& ctx) const {
   }
 
   // The image to exercise: the rewritten one if RewriteStage produced it,
-  // otherwise StaticStage's shared parse. Custom stage lists that skip both
-  // fall back to parsing the input blob here — still routed through the
-  // stage status, so a malformed (e.g. packer-damaged) container is a
-  // per-app crash outcome, never an exception escaping the corpus driver.
-  apk::ApkImage img = ctx.run_image.valid() ? ctx.run_image : ctx.image;
+  // otherwise StaticStage's shared parse.
+  const apk::ApkImage& img = ctx.run_image.valid() ? ctx.run_image : ctx.image;
   manifest::Manifest man;
   {
     TRACE_SPAN("phase", "dynamic.install");
     try {
-      if (!img.valid()) {
-        img = apk::ApkImage::parse(ctx.apk, apk::ParseMode::kLenient);
-      }
       man = img.file().read_manifest();
     } catch (const support::ParseError& e) {
       ctx.report.status = DynamicStatus::kCrash;
@@ -133,14 +120,9 @@ StageResult DynamicStage::run(AnalysisContext& ctx) const {
     TRACE_SPAN("phase", "dynamic.fuzz");
     // StaticStage decoded classes.dex into the IR and no later stage reads
     // the IR, so the VM takes that decode instead of repeating it (the
-    // rewrite changes only the manifest). Custom stage lists without
-    // StaticStage decode from the image.
-    if (ctx.ir.has_value()) {
-      ctx.run = run_app(*device, take_classes_dex(*ctx.ir), man, rng,
-                        ctx.options->engine);
-    } else {
-      ctx.run = run_app(*device, img.file(), man, rng, ctx.options->engine);
-    }
+    // rewrite changes only the manifest).
+    ctx.run = run_app(*device, take_classes_dex(*ctx.ir), man, rng,
+                      ctx.options->engine);
   }
   auto& run = *ctx.run;
   ctx.report.storage_recovered = run.storage_recovered;

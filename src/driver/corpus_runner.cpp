@@ -367,7 +367,7 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
       }
     }
     support::JournalWriterOptions journal_options;
-    journal_options.fsync_each_record = config_.journal_fsync;
+    journal_options.fsync_each_record = config_.fsync;
     journal_options.truncate = !config_.resume;
     auto writer =
         support::JournalWriter::open(config_.journal_path, journal_options);
@@ -394,7 +394,7 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
     CacheConfig cache_config;
     cache_config.max_entries = config_.cache_max_entries;
     cache_config.max_bytes = config_.cache_max_bytes;
-    cache_config.fsync_each_insert = config_.cache_fsync;
+    cache_config.fsync_each_insert = config_.fsync;
     auto opened = ResultCache::open(config_.cache_dir, config_fp, cache_config);
     if (!opened.ok()) throw std::runtime_error("runner: " + opened.error());
     cache.emplace(std::move(opened).take());
@@ -562,9 +562,8 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
   /// One sandboxed attempt: ship the dispatch tuple to this thread's worker
   /// (forking one if the slot is empty), classify whatever comes back, and
   /// return the same "failed" predicate run_attempt feeds the retry
-  /// policy. Worker recycling (injected, after K apps, or on RSS growth)
-  /// happens strictly *between* attempts, so it can never change an
-  /// outcome.
+  /// policy. Worker recycling (injected, or after K apps) happens strictly
+  /// *between* attempts, so it can never change an outcome.
   const auto pool_attempt = [&](AppOutcome& outcome, std::uint32_t attempt,
                                 std::size_t index,
                                 std::size_t worker_id) -> bool {
@@ -596,7 +595,6 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
 
     support::WorkerLimits limits;
     limits.max_memory_bytes = config_.sandbox_mem_limit_bytes;
-    limits.cpu_time_s = config_.sandbox_cpu_limit_s;
     limits.wall_deadline_ms = sandbox_deadline_ms;
 
     // Accumulate the attempt's wall time (spawn + RPC + recycle) on every
@@ -740,13 +738,11 @@ CorpusResult CorpusRunner::run(std::span<const AppJob> jobs) const {
 
       // Between-attempt recycling: the outcome above is already settled, so
       // retiring the worker here can never change a report — only reset its
-      // accumulated CPU time and heap growth.
+      // heap growth.
       const bool recycle =
           support::fault_fire(support::FaultSite::kPoolRecycle) ||
           (config_.pool_recycle_apps > 0 &&
-           slot->served() >= config_.pool_recycle_apps) ||
-          (config_.pool_recycle_rss_bytes > 0 &&
-           slot->rss_bytes() > config_.pool_recycle_rss_bytes);
+           slot->served() >= config_.pool_recycle_apps);
       if (recycle) {
         slot->shutdown();
         slot.reset();

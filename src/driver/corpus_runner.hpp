@@ -258,9 +258,6 @@ struct RunnerConfig {
   /// apps are skipped, their stats re-merged, and new outcomes append to
   /// the same journal. Requires a non-empty journal_path.
   bool resume = false;
-  /// fsync the journal after every record (power-loss durability); off by
-  /// default — the journal is always fsync'd when sealed.
-  bool journal_fsync = false;
   /// Graceful-shutdown flag (e.g. set by a SIGINT/SIGTERM handler): when
   /// it becomes true, workers finish their in-flight apps, the journal is
   /// sealed, and run() returns a partial result with interrupted=true.
@@ -276,8 +273,12 @@ struct RunnerConfig {
   /// LRU capacity bounds for the cache; 0 = unlimited.
   std::size_t cache_max_entries = 0;
   std::uint64_t cache_max_bytes = 0;
-  /// fsync the cache store after every insert; off by default.
-  bool cache_fsync = false;
+
+  // --- durability (journal and cache) --------------------------------------
+  /// fsync the journal after every record and the cache store after every
+  /// insert (power-loss durability); off by default — the journal is always
+  /// fsync'd when sealed.
+  bool fsync = false;
 
   // --- process-isolation sandbox (docs/ISOLATION.md) -----------------------
   /// Containment for analysis attempts. kPool dispatches attempts to one
@@ -293,18 +294,13 @@ struct RunnerConfig {
   }
   /// Retire a worker after it has served this many apps and fork a fresh
   /// one (0 = never; 1 = a fresh child per app, i.e. fork-per-app). Resets
-  /// accumulated RLIMIT_CPU time and heap growth; reports are unaffected
-  /// — recycling happens between attempts.
+  /// heap growth; reports are unaffected — recycling happens between
+  /// attempts.
   std::uint32_t pool_recycle_apps = 0;
-  /// Retire a worker whose resident set grows past this many bytes
-  /// (0 = never). Checked between attempts via /proc/<pid>/statm.
-  std::uint64_t pool_recycle_rss_bytes = 0;
   /// Child RLIMIT_AS in bytes (0 = inherit). Must comfortably exceed the
   /// parent's footprint — the limit covers the whole forked image. Ignored
   /// under ASan/TSan (support::address_space_limit_supported).
   std::uint64_t sandbox_mem_limit_bytes = 0;
-  /// Child RLIMIT_CPU in seconds (0 = inherit).
-  std::uint32_t sandbox_cpu_limit_s = 0;
   /// Wall budget per sandboxed attempt, after which the supervisor
   /// SIGKILLs the child. 0 derives a generous budget from the pipeline's
   /// max_app_wall_ms (so a hung stage is preempted, not just recorded) and

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <new>
@@ -77,7 +76,7 @@ void install_fork_handlers() {
 }
 
 /// Child-side setup between fork and the serve loop: reset SIGINT/SIGTERM,
-/// zero RLIMIT_CORE, apply the CPU/address-space limits, route allocation
+/// zero RLIMIT_CORE, apply the address-space limit, route allocation
 /// failure to _exit(kOomExitCode). Only async-signal-safe calls plus
 /// setrlimit/set_new_handler; the child is single-threaded.
 void child_setup(const WorkerLimits& limits) {
@@ -86,10 +85,6 @@ void child_setup(const WorkerLimits& limits) {
   std::signal(SIGPIPE, SIG_DFL);
   rlimit core{0, 0};
   (void)::setrlimit(RLIMIT_CORE, &core);
-  if (limits.cpu_time_s > 0) {
-    rlimit cpu{limits.cpu_time_s, limits.cpu_time_s};
-    (void)::setrlimit(RLIMIT_CPU, &cpu);
-  }
   if (limits.max_memory_bytes > 0 && address_space_limit_supported()) {
     rlimit as{static_cast<rlim_t>(limits.max_memory_bytes),
               static_cast<rlim_t>(limits.max_memory_bytes)};
@@ -270,21 +265,6 @@ void PoolWorker::shutdown() {
   if (!eof) (void)::kill(pid_, SIGKILL);
   reap(nullptr);
   close_pipes();
-}
-
-std::uint64_t PoolWorker::rss_bytes() const {
-  if (pid_ <= 0) return 0;
-  char path[64];
-  std::snprintf(path, sizeof path, "/proc/%d/statm", pid_);
-  std::FILE* file = std::fopen(path, "r");
-  if (file == nullptr) return 0;
-  unsigned long vm_pages = 0;   // NOLINT(google-runtime-int) statm format
-  unsigned long rss_pages = 0;  // NOLINT(google-runtime-int)
-  const int parsed = std::fscanf(file, "%lu %lu", &vm_pages, &rss_pages);
-  std::fclose(file);
-  if (parsed != 2) return 0;
-  return static_cast<std::uint64_t>(rss_pages) *
-         static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
 }
 
 PoolRpcResult PoolWorker::call(const Bytes& request,

@@ -23,7 +23,7 @@
 // Child-side contract (applied before the serve loop runs):
 //   * RLIMIT_CORE = 0 — a crashing child never litters core dumps.
 //   * RLIMIT_AS (when max_memory_bytes > 0 and the build supports it; see
-//     address_space_limit_supported) and RLIMIT_CPU (cpu_time_s > 0).
+//     address_space_limit_supported).
 //   * std::set_new_handler(_exit(kOomExitCode)) — an allocation failure
 //     exits with a reserved code instead of unwinding, so the supervisor
 //     can classify out-of-memory deaths distinctly from crashes.
@@ -76,8 +76,6 @@ struct WorkerLimits {
   /// comfortably exceed the parent's footprint. Ignored under ASan/TSan,
   /// whose shadow mappings are incompatible with RLIMIT_AS.
   std::uint64_t max_memory_bytes = 0;
-  /// RLIMIT_CPU in seconds; 0 inherits. Exceeding it delivers SIGXCPU.
-  std::uint32_t cpu_time_s = 0;
   /// Default per-call wall deadline in ms; past it the child is SIGKILLed
   /// and the call reports kTimeout. 0 = wait forever.
   double wall_deadline_ms = 0.0;
@@ -126,9 +124,8 @@ class PoolWorker {
   using ServeLoop = std::function<int(int request_fd, int response_fd)>;
 
   /// Fork a persistent child running `serve` under `limits`. The rlimits
-  /// apply to the worker's whole lifetime (RLIMIT_CPU accumulates across
-  /// the apps it serves — pair tight CPU limits with recycling). The
-  /// wall_deadline_ms in `limits` is the default per-call deadline.
+  /// apply to the worker's whole lifetime. The wall_deadline_ms in `limits`
+  /// is the default per-call deadline.
   static Result<PoolWorker> spawn(const ServeLoop& serve,
                                   const WorkerLimits& limits);
 
@@ -163,8 +160,6 @@ class PoolWorker {
   [[nodiscard]] int pid() const { return pid_; }
   /// Completed (kOk) calls served by this worker.
   [[nodiscard]] std::uint64_t served() const { return served_; }
-  /// Resident set size from /proc/<pid>/statm; 0 when unavailable.
-  [[nodiscard]] std::uint64_t rss_bytes() const;
 
  private:
   PoolWorker(int pid, int request_fd, int response_fd, double deadline_ms)

@@ -80,9 +80,10 @@ TEST(Decompiler, LocalBytecodeStoreDetection) {
 
 TEST(Rewriter, InjectsPermissionAndResigns) {
   const auto rewritten = rewrite_with_permission(
-      sample_apk().serialize(), manifest::kWriteExternalStorage);
+      apk::ApkImage::parse(support::Blob::take(sample_apk().serialize())),
+      manifest::kWriteExternalStorage);
   ASSERT_TRUE(rewritten.ok()) << rewritten.error();
-  const auto apk = apk::ApkFile::deserialize(rewritten.value());
+  const auto apk = apk::ApkFile::deserialize(rewritten.value().bytes());
   EXPECT_TRUE(
       apk.read_manifest().has_permission(manifest::kWriteExternalStorage));
   EXPECT_EQ(apk.signer(), kResignKey);
@@ -93,8 +94,11 @@ TEST(Rewriter, CrashesOnAntiRepackagingTrap) {
   auto apk = sample_apk();
   obfuscation::plant_anti_repackaging_trap(apk);
   apk.sign("dev");
+  // The lenient parse accepts the trap; the rewriter's CRC sweep
+  // (first_crc_mismatch) is what rejects it.
   const auto rewritten = rewrite_with_permission(
-      apk.serialize(), manifest::kWriteExternalStorage);
+      apk::ApkImage::parse(support::Blob::take(apk.serialize())),
+      manifest::kWriteExternalStorage);
   EXPECT_FALSE(rewritten.ok());
   EXPECT_NE(rewritten.error().find("CRC"), std::string::npos);
 }

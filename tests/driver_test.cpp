@@ -489,7 +489,7 @@ TEST(Stages, StaticStageStopsOnDclFreeApp) {
   EXPECT_EQ(ctx.report.status, core::DynamicStatus::kNotRun);
 }
 
-TEST(Stages, DynamicStageReportsCorruptContainerAsCrash) {
+TEST(Stages, DynamicStageWithoutStaticParseFails) {
   appgen::AppSpec spec;
   spec.package = "com.driver.dcl";
   spec.category = "Tools";
@@ -506,18 +506,15 @@ TEST(Stages, DynamicStageReportsCorruptContainerAsCrash) {
   const core::StaticStage static_stage;
   ASSERT_TRUE(static_stage.run(ctx).ok());
 
-  // Corrupt the container after the static phase: the dynamic stage must
-  // resolve it through the stage status, not an escaping ParseError. Drop
-  // the shared parse so the stage falls back to (re-)parsing the input.
-  ctx.apk = ctx.apk.slice(0, app.apk.size() / 4);
+  // The dynamic stage runs only on StaticStage's shared parse; without it
+  // the stage fails through its status (a per-app crash outcome in the
+  // pipeline), never by re-parsing the input or throwing.
   ctx.image = apk::ApkImage();
-  ctx.run_image = apk::ApkImage();
   const core::DynamicStage dynamic_stage;
   const auto result = dynamic_stage.run(ctx);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value(), core::StageAction::kStop);
-  EXPECT_EQ(ctx.report.status, core::DynamicStatus::kCrash);
-  EXPECT_FALSE(ctx.report.crash_message.empty());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error(), "DynamicStage: needs StaticStage");
+  EXPECT_FALSE(ctx.run.has_value());
 }
 
 }  // namespace

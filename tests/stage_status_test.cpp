@@ -218,5 +218,17 @@ TEST_F(StageStatusTest, RealStageFailureStillKeepsEarlierStageOutput) {
   EXPECT_EQ(report.package, "com.example.stagestatus");  // StaticStage ran
 }
 
+TEST_F(StageStatusTest, RewriteStageWithoutStaticStageIsACrashOutcome) {
+  // Needs the permission injection, so RewriteStage would repack.
+  const auto app = make_app(/*write_permission=*/false, /*native=*/false);
+  std::vector<std::unique_ptr<const core::Stage>> stages;
+  stages.push_back(std::make_unique<core::RewriteStage>());
+  stages.push_back(std::make_unique<ThrowingStage>());  // must not run
+  const core::DyDroid pipeline({}, std::move(stages));
+  const auto report = pipeline.analyze(app.apk, 1);
+  EXPECT_EQ(report.status, DynamicStatus::kCrash);
+  EXPECT_EQ(report.crash_message, "RewriteStage: needs StaticStage");
+}
+
 }  // namespace
 }  // namespace dydroid

@@ -204,7 +204,6 @@ TEST(PoolWorker, FramedRequestsRoundTripAndCountServedApps) {
     EXPECT_EQ(result.message, request);  // one long-lived child served all 5
   }
   EXPECT_EQ(worker.served(), 5u);
-  EXPECT_GT(worker.rss_bytes(), 0u);
   worker.shutdown();
   EXPECT_FALSE(worker.alive());
 }
@@ -886,25 +885,6 @@ TEST(WorkerPool, RecycleAfterKAppsIsInvisibleInReports) {
   // Every recycle forces a later spawn, except one that lands exactly on a
   // worker's final app (the thread epilogue then finds an empty slot).
   EXPECT_GE(spawns->value, recycles->value);
-}
-
-TEST(WorkerPool, RssRecycleKnobIsInvisibleInReports) {
-  auto fixture = replicated_jobs(4);
-  const core::DyDroid pipeline{core::PipelineOptions{}};
-
-  RunnerConfig thread_config;
-  thread_config.jobs = 1;
-  const auto golden = CorpusRunner(pipeline, thread_config).run(fixture.jobs);
-
-  RunnerConfig config = sandboxed(1, 0);
-  config.pool_recycle_rss_bytes = 1;  // absurd floor: recycle after every app
-  const auto result = CorpusRunner(pipeline, config).run(fixture.jobs);
-
-  ASSERT_EQ(result.outcomes.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(core::report_to_json(result.outcomes[i].report),
-              core::report_to_json(golden.outcomes[i].report));
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -287,16 +287,17 @@ void maybe_test_raise_stop() {
 }
 
 /// Fill the journal fields of a RunnerConfig from --journal / --resume /
-/// --fsync. Returns the journal path ("" = journaling off). With a journal
-/// active, SIGINT/SIGTERM switch from "kill the process" to "finish
-/// in-flight apps, seal the journal, report how to resume".
+/// --fsync (which also covers the cache store). Returns the journal path
+/// ("" = journaling off). With a journal active, SIGINT/SIGTERM switch from
+/// "kill the process" to "finish in-flight apps, seal the journal, report
+/// how to resume".
 std::string configure_journal(const Args& args,
                               driver::RunnerConfig& config) {
   const std::string path = args.flag("resume") ? args.value("resume", "")
                                                : args.value("journal", "");
   config.journal_path = path;
   config.resume = args.flag("resume");
-  config.journal_fsync = args.flag("fsync");
+  config.fsync = args.flag("fsync");
   if (!path.empty()) {
     config.stop = &g_stop;
     std::signal(SIGINT, handle_stop_signal);
@@ -350,7 +351,6 @@ std::string configure_cache(const char* cmd, const Args& args,
       cmd, "cache-entries", args.value("cache-entries", "0")));
   config.cache_max_bytes =
       parse_u64_flag(cmd, "cache-bytes", args.value("cache-bytes", "0"));
-  config.cache_fsync = args.flag("fsync");
   return config.cache_dir;
 }
 
@@ -484,17 +484,7 @@ int cmd_analyze(const Args& args) {
       (void)device.install(apk::ApkFile::deserialize(companion));
     }
   };
-  malware::DroidNative detector(0.9);
-  {
-    support::Rng rng(0xD401DA);
-    for (int f = 0; f < malware::kNumFamilies; ++f) {
-      const auto family = malware::family_at(f);
-      for (const auto& s :
-           malware::generate_training_samples(family, 4, rng)) {
-        detector.train(malware::family_name(family), s);
-      }
-    }
-  }
+  const auto detector = malware::train_detector(4, 0xD401DA);
   options.detector = &detector;
   const std::uint64_t seed =
       parse_u64_flag("analyze", "seed", args.value("seed", "1"));
@@ -620,17 +610,7 @@ int cmd_survey(const Args& args) {
   config.scale = parse_double_flag("survey", "scale", args.value("scale", "0.02"));
   config.seed = parse_u64_flag("survey", "seed", args.value("seed", "20161101"));
   const auto corpus = appgen::generate_corpus(config);
-  malware::DroidNative detector(0.9);
-  {
-    support::Rng rng(0xD401DA);
-    for (int f = 0; f < malware::kNumFamilies; ++f) {
-      const auto family = malware::family_at(f);
-      for (const auto& s :
-           malware::generate_training_samples(family, 4, rng)) {
-        detector.train(malware::family_name(family), s);
-      }
-    }
-  }
+  const auto detector = malware::train_detector(4, 0xD401DA);
   // One shared pipeline mapped over the corpus by the parallel driver
   // (worker count from --jobs, DYDROID_JOBS or hardware concurrency).
   core::PipelineOptions options;
