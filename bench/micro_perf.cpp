@@ -23,13 +23,17 @@
 #include "core/report_json.hpp"
 #include "dex/builder.hpp"
 #include "dex/disassembler.hpp"
+#include "driver/binary_dedup.hpp"
 #include "driver/corpus_runner.hpp"
 #include "driver/shard_merge.hpp"
 #include "malware/droidnative.hpp"
 #include "malware/families.hpp"
 #include "obfuscation/packer.hpp"
 #include "privacy/flowdroid.hpp"
+#include "privacy/sources.hpp"
+#include "support/hash.hpp"
 #include "support/log.hpp"
+#include "support/sha256_kernels.hpp"
 #include "support/stopwatch.hpp"
 #include "support/strings.hpp"
 #include "support/trace.hpp"
@@ -420,6 +424,69 @@ void BM_ShardMerge(benchmark::State& state) {
   state.SetLabel("shards=" + std::to_string(shards));
 }
 BENCHMARK(BM_ShardMerge)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// SHA-256 throughput (support/hash.hpp) over a 4 KiB payload (the size of
+// an intercepted dex) and a 1 MiB one, with whichever block kernel this
+// CPU selects; the label names it.
+void BM_Sha256(benchmark::State& state) {
+  support::Bytes data(static_cast<std::size_t>(state.range(0)));
+  support::Rng rng(7);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(support::sha256(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(support::sha256_kernels::shani_supported()
+                     ? "kernel=sha-ni"
+                     : "kernel=portable");
+}
+BENCHMARK(BM_Sha256)->Arg(4 << 10)->Arg(1 << 20);
+
+// The corpus dedup reduce (driver::BinaryDedupStore::absorb) over the
+// reports of a loader-heavy-like corpus: every app carries an analytics
+// SDK that loads code, half an ad SDK, own dex DCL and native DCL, plus a
+// malware payload. The reports are produced once, outside the timed
+// region; the timed region is the serial absorb loop the runner runs after
+// its workers join.
+void BM_DedupAbsorb(benchmark::State& state) {
+  constexpr std::uint32_t kAllLeaks =
+      (std::uint32_t{1} << privacy::kNumDataTypes) - 1;
+  support::set_log_level(support::LogLevel::Error);
+  support::Rng rng(20161101);
+  appgen::Corpus corpus;
+  for (int i = 0; i < 300; ++i) {
+    appgen::AppSpec spec;
+    spec.package = "com.bench.loader" + std::to_string(i);
+    spec.category = "Tools";
+    spec.write_external_permission = rng.chance(0.5);
+    spec.analytics_sdk = true;
+    spec.sdk_leaks = 1 + static_cast<std::uint32_t>(rng.below(kAllLeaks));
+    spec.ad_sdk = rng.chance(0.5);
+    spec.own_dex_dcl = rng.chance(0.5);
+    spec.sdk_native_dcl = rng.chance(0.5);
+    appgen::MalwarePayloadSpec payload;
+    payload.family = malware::family_at(static_cast<int>(rng.below(3)));
+    payload.triggers.push_back(appgen::MalwareTrigger::SystemTime);
+    spec.malware.push_back(std::move(payload));
+    auto app_rng = rng.fork();
+    corpus.apps.push_back(appgen::build_app(spec, app_rng));
+  }
+  const core::DyDroid pipeline{core::PipelineOptions{}};
+  driver::RunnerConfig runner_config;
+  runner_config.jobs = 1;
+  const auto result = driver::CorpusRunner(pipeline, runner_config).run(corpus);
+  for (auto _ : state) {
+    driver::BinaryDedupStore dedup;
+    for (const auto& outcome : result.outcomes) dedup.absorb(outcome.report);
+    benchmark::DoNotOptimize(dedup.stats());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(result.dedup.total));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(result.dedup.total_bytes));
+  state.SetLabel("binaries=" + std::to_string(result.dedup.total));
+}
+BENCHMARK(BM_DedupAbsorb)->Unit(benchmark::kMicrosecond);
 
 /// Serial-vs-parallel corpus comparison, written to BENCH_corpus.json:
 /// wall time and apps/sec with 1 worker and with DYDROID_JOBS/hardware

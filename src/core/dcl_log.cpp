@@ -12,6 +12,11 @@ std::string_view entity_name(Entity entity) {
   return entity == Entity::Own ? "Own" : "3rd-party";
 }
 
+void InterceptedBinary::set_bytes(support::Blob payload) {
+  sha256 = support::sha256(payload.span());
+  bytes = std::move(payload);
+}
+
 std::string call_site_of(const vm::StackTrace& trace) {
   for (const auto& frame : trace) {
     if (!vm::is_framework_class(frame.class_name)) return frame.class_name;

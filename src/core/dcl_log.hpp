@@ -9,6 +9,7 @@
 
 #include "support/blob.hpp"
 #include "support/bytes.hpp"
+#include "support/hash.hpp"
 #include "vm/stack_trace.hpp"
 
 namespace dydroid::core {
@@ -40,12 +41,21 @@ struct DclEvent {
 /// A dynamically loaded binary captured by the interceptor. `bytes` is a
 /// refcounted snapshot view: VFS files are immutable Blobs replaced whole
 /// on write, so holding the view IS the snapshot — no copy needed.
+/// `sha256` is the payload's content identity (the corpus dedup key),
+/// computed once, when the bytes are set — on the worker that captured the
+/// binary, or where a report is decoded — so the corpus reduce and the JSON
+/// report never re-hash. Set both through set_bytes() only.
 struct InterceptedBinary {
   CodeKind kind = CodeKind::Dex;
   std::string path;
   support::Blob bytes;
+  support::Sha256Digest sha256 = support::kSha256Empty;
   std::string call_site_class;
   Entity entity = Entity::ThirdParty;
+
+  /// Set the payload and its digest together, so the digest cannot go
+  /// stale.
+  void set_bytes(support::Blob payload);
 };
 
 /// Walk a stack trace from the innermost frame past framework classes to

@@ -70,7 +70,7 @@ void write_binary(std::ostringstream& out, const BinaryReport& binary,
       << quoted(code_kind_name(binary.binary.kind)) << ",\n";
   out << indent << "  \"size\": " << binary.binary.bytes.size() << ",\n";
   out << indent << "  \"sha256\": \""
-      << support::sha256(binary.binary.bytes.span()).hex() << "\",\n";
+      << binary.binary.sha256.hex() << "\",\n";
   out << indent << "  \"call_site\": " << quoted(binary.binary.call_site_class)
       << ",\n";
   out << indent << "  \"entity\": "

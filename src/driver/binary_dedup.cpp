@@ -39,7 +39,7 @@ bool persist_blob(const std::string& dir, const support::Sha256Digest& digest,
 void BinaryDedupStore::absorb(const core::AppReport& report) {
   for (const auto& binary_report : report.binaries) {
     const core::InterceptedBinary& binary = binary_report.binary;
-    const auto digest = support::sha256(binary.bytes.span());
+    const support::Sha256Digest& digest = binary.sha256;
     ++stats_.total;
     stats_.total_bytes += binary.bytes.size();
     auto [it, fresh] = counts_.emplace(digest, 0);

@@ -7,7 +7,11 @@
 // "unique binaries". This store reproduces that measurement over a corpus
 // run: every intercepted payload is keyed by its SHA-256 (content identity
 // — see support/hash.hpp's strength classes; FNV-1a is craftably
-// collidable and must never decide dedup identity) and counted once.
+// collidable and must never decide dedup identity) and counted once. The
+// store hashes nothing itself: it reads core::InterceptedBinary::sha256,
+// computed once where the bytes were set — on the worker that captured
+// the binary, or where its report was decoded (pool response, cache hit,
+// journal replay) — so the serial reduce stays cheap.
 //
 // Optionally (when the runner has a cache directory) unique payloads are
 // persisted content-addressed under DIR/blobs/<hex-digest>.bin — a binary

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+
+#include "support/sha256_kernels.hpp"
 
 namespace dydroid::support {
 namespace {
@@ -69,72 +72,39 @@ std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 64> kSha256K = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
 constexpr std::array<std::uint32_t, 8> kSha256Init = {
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
     0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
-std::uint32_t rotr(std::uint32_t x, int n) {
-  return (x >> n) | (x << (32 - n));
+using sha256_kernels::BlockKernel;
+
+/// The block kernel this CPU runs, chosen by CPUID on first use. A relaxed
+/// atomic rather than a function-local static: racing first uses pick the
+/// same kernel, and there is no initialization guard for a pool worker
+/// forked mid-initialization to inherit locked (it may run at static-init
+/// time, from other translation units' constants, too).
+std::atomic<BlockKernel> g_block_kernel{nullptr};
+
+BlockKernel block_kernel() {
+  BlockKernel kernel = g_block_kernel.load(std::memory_order_relaxed);
+  if (kernel == nullptr) {
+    kernel = &sha256_kernels::blocks_portable;
+#if defined(__x86_64__)
+    if (sha256_kernels::shani_supported()) {
+      kernel = &sha256_kernels::blocks_shani;
+    }
+#endif
+    g_block_kernel.store(kernel, std::memory_order_relaxed);
+  }
+  return kernel;
 }
 
 }  // namespace
 
 Sha256::Sha256() { state_ = kSha256Init; }
 
-void Sha256::compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kSha256K[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+void Sha256::compress(const std::uint8_t* blocks, std::size_t count) {
+  block_kernel()(state_.data(), blocks, count);
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
@@ -148,14 +118,14 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     p += take;
     n -= take;
     if (buffered_ == buffer_.size()) {
-      compress(buffer_.data());
+      compress(buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (n >= 64) {
-    compress(p);
-    p += 64;
-    n -= 64;
+  if (n >= 64) {
+    compress(p, n / 64);
+    p += n / 64 * 64;
+    n %= 64;
   }
   if (n > 0) {
     std::copy_n(p, n, buffer_.begin());
@@ -169,18 +139,22 @@ void Sha256::update(std::string_view s) {
 }
 
 Sha256Digest Sha256::digest() {
+  // Pad in place: 0x80, zeros to byte 56 of a block, the 64-bit big-endian
+  // bit length. A tail past byte 55 spills the padding into a second block.
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_one = 0x80;
-  update(std::span<const std::uint8_t>(&pad_one, 1));
-  const std::uint8_t zero = 0;
-  while (buffered_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::fill(buffer_.begin() + static_cast<long>(buffered_), buffer_.end(), 0);
+    compress(buffer_.data(), 1);
+    buffered_ = 0;
   }
-  std::uint8_t length_be[8];
+  std::fill(buffer_.begin() + static_cast<long>(buffered_),
+            buffer_.begin() + 56, 0);
   for (int i = 0; i < 8; ++i) {
-    length_be[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+    buffer_[static_cast<std::size_t>(56 + i)] =
+        static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
   }
-  update(std::span<const std::uint8_t>(length_be, 8));
+  compress(buffer_.data(), 1);
   Sha256Digest out;
   for (int i = 0; i < 8; ++i) {
     out.bytes[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);

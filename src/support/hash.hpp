@@ -51,8 +51,17 @@ struct Sha256Digest {
   friend auto operator<=>(const Sha256Digest&, const Sha256Digest&) = default;
 };
 
+/// SHA-256 of the empty message, the digest of an empty payload.
+inline constexpr Sha256Digest kSha256Empty{
+    {0xe3, 0xb0, 0xc4, 0x42, 0x98, 0xfc, 0x1c, 0x14, 0x9a, 0xfb, 0xf4,
+     0xc8, 0x99, 0x6f, 0xb9, 0x24, 0x27, 0xae, 0x41, 0xe4, 0x64, 0x9b,
+     0x93, 0x4c, 0xa4, 0x95, 0x99, 0x1b, 0x78, 0x52, 0xb8, 0x55}};
+
 /// Incremental SHA-256: update() in any chunking, then digest(). Verified
-/// against the NIST FIPS 180-4 test vectors (tests/support_test.cpp).
+/// against the NIST FIPS 180-4 test vectors (tests/support_test.cpp). The
+/// block compression runs the SHA-NI kernel on x86-64 CPUs with the SHA
+/// extensions and a portable kernel elsewhere, picked once by CPUID
+/// (support/sha256_kernels.hpp); both produce the same digests.
 class Sha256 {
  public:
   Sha256();
@@ -62,7 +71,8 @@ class Sha256 {
   [[nodiscard]] Sha256Digest digest();
 
  private:
-  void compress(const std::uint8_t* block);
+  /// Compress `count` consecutive 64-byte blocks into the state.
+  void compress(const std::uint8_t* blocks, std::size_t count);
 
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};

@@ -5,8 +5,12 @@
 // unit coverage.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -16,6 +20,7 @@
 #include "appgen/generator.hpp"
 #include "core/report_json.hpp"
 #include "core/stages.hpp"
+#include "digest_checks.hpp"
 #include "driver/corpus_runner.hpp"
 #include "support/fault.hpp"
 
@@ -462,6 +467,64 @@ TEST(CorpusRunner, TransientInjectedCrashRetriesCleanlyAndRecovers) {
   EXPECT_EQ(result.stats.quarantined, 0u);
   EXPECT_EQ(result.stats.crashed, 0u);
   EXPECT_EQ(result.stats.exercised, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Intercepted-binary digests: computed where the bytes are set (snapshot or
+// decode), never stale, and the dedup reduce over them is path-independent.
+// ---------------------------------------------------------------------------
+
+TEST(CorpusRunner, BinaryDigestsMatchBytesOnEveryOutcomePath) {
+  const auto corpus = small_corpus();
+  const core::DyDroid pipeline{core::PipelineOptions{}};
+
+  RunnerConfig inline_config;
+  inline_config.jobs = 1;
+  const auto golden = CorpusRunner(pipeline, inline_config).run(corpus);
+  ASSERT_GT(expect_binary_digests_match_bytes(golden), 0u);
+  ASSERT_GT(golden.dedup.total, 0u);
+  EXPECT_EQ(golden.dedup.total, golden.stats.binaries);
+
+  for (const std::size_t jobs : {2u, 8u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    RunnerConfig config;
+    config.jobs = jobs;
+    const auto threaded = CorpusRunner(pipeline, config).run(corpus);
+    expect_binary_digests_match_bytes(threaded);
+    expect_same_dedup(threaded.dedup, golden.dedup);
+  }
+
+  const std::string dir =
+      testing::TempDir() + "dydroid_digest_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    // Resume-journal replay: every outcome is decoded from the journal.
+    SCOPED_TRACE("journal replay");
+    RunnerConfig config;
+    config.jobs = 2;
+    config.journal_path = dir + "/run.jrnl";
+    (void)CorpusRunner(pipeline, config).run(corpus);
+    config.resume = true;
+    const auto replayed = CorpusRunner(pipeline, config).run(corpus);
+    EXPECT_EQ(replayed.replayed, corpus.apps.size());
+    expect_binary_digests_match_bytes(replayed);
+    expect_same_dedup(replayed.dedup, golden.dedup);
+  }
+  {
+    // Result-cache hit: every outcome is decoded from the cache. The cold
+    // run persisted the blobs, so the warm run writes none — as uncached.
+    SCOPED_TRACE("cache hit");
+    RunnerConfig config;
+    config.jobs = 2;
+    config.cache_dir = dir + "/cache";
+    (void)CorpusRunner(pipeline, config).run(corpus);
+    const auto warm = CorpusRunner(pipeline, config).run(corpus);
+    EXPECT_EQ(warm.stats.cache_hits, corpus.apps.size());
+    expect_binary_digests_match_bytes(warm);
+    expect_same_dedup(warm.dedup, golden.dedup);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "driver/corpus_runner.hpp"
 #include "driver/outcome_codec.hpp"
 #include "privacy/sources.hpp"
+#include "support/hash.hpp"
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 
@@ -86,8 +87,8 @@ AppReport all_fields_report() {
   core::BinaryReport binary;
   binary.binary.kind = core::CodeKind::Dex;
   binary.binary.path = "/sdcard/payload.dex";
-  binary.binary.bytes =
-      support::Blob::take(Bytes{0xde, 0xad, 0x00, 0xbe, 0xef});
+  binary.binary.set_bytes(
+      support::Blob::take(Bytes{0xde, 0xad, 0x00, 0xbe, 0xef}));
   binary.binary.call_site_class = "Lcom/ads/Loader;";
   binary.binary.entity = core::Entity::ThirdParty;
   binary.origin_url = "http://cdn.example.com/payload.dex";
@@ -133,6 +134,14 @@ TEST(ReportCodec, AllFieldsRoundTripJsonIdentical) {
   // Fields the JSON may summarize still round-trip exactly.
   ASSERT_EQ(decoded.binaries.size(), original.binaries.size());
   EXPECT_EQ(decoded.binaries[0].binary.bytes, original.binaries[0].binary.bytes);
+  // The digest is not on the wire: decode recomputes it from the bytes (an
+  // empty payload included).
+  for (std::size_t i = 0; i < decoded.binaries.size(); ++i) {
+    EXPECT_EQ(decoded.binaries[i].binary.sha256,
+              support::sha256(decoded.binaries[i].binary.bytes.span()));
+    EXPECT_EQ(decoded.binaries[i].binary.sha256,
+              original.binaries[i].binary.sha256);
+  }
   ASSERT_TRUE(decoded.binaries[0].malware.has_value());
   EXPECT_EQ(decoded.binaries[0].malware->score,
             original.binaries[0].malware->score);

@@ -1,10 +1,16 @@
 // Unit tests for support: byte IO, hashing, RNG determinism, strings.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
+#include "support/sha256_kernels.hpp"
 #include "support/strings.hpp"
 
 namespace dydroid::support {
@@ -113,6 +119,128 @@ TEST(Hash, Sha256DigestHelpers) {
   EXPECT_EQ(Sha256DigestHash{}(d), Sha256DigestHash{}(sha256("abc")));
   EXPECT_NE(sha256("abc"), sha256("abd"));
   EXPECT_LT(d, sha256(""));  // ba... orders before e3... bytewise
+}
+
+TEST(Hash, Sha256EmptyConstantIsTheEmptyDigest) {
+  EXPECT_EQ(sha256(""), kSha256Empty);
+}
+
+// ---- SHA-256 block kernels: portable vs. SHA-NI ----------------------------
+
+using sha256_kernels::BlockKernel;
+
+/// A reference SHA-256 built on one block kernel directly: whole blocks
+/// through `kernel`, then the FIPS 180-4 padding as one or two more blocks.
+/// Independent of Sha256's buffering, so it checks each kernel alone.
+std::string kernel_sha256_hex(BlockKernel kernel, const std::string& message) {
+  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                        0x1f83d9ab, 0x5be0cd19};
+  const auto* data = reinterpret_cast<const std::uint8_t*>(message.data());
+  const std::size_t whole = message.size() / 64;
+  kernel(state.data(), data, whole);
+  std::vector<std::uint8_t> tail(data + whole * 64, data + message.size());
+  tail.push_back(0x80);
+  while (tail.size() % 64 != 56) tail.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    tail.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  kernel(state.data(), tail.data(), tail.size() / 64);
+  Sha256Digest digest;
+  for (std::size_t i = 0; i < 8; ++i) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      digest.bytes[4 * i + b] =
+          static_cast<std::uint8_t>(state[i] >> (24 - 8 * b));
+    }
+  }
+  return digest.hex();
+}
+
+void expect_nist_vectors(BlockKernel kernel) {
+  EXPECT_EQ(
+      kernel_sha256_hex(kernel, ""),
+      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(
+      kernel_sha256_hex(kernel, "abc"),
+      "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(
+      kernel_sha256_hex(
+          kernel, "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(
+      kernel_sha256_hex(kernel, std::string(1000000, 'a')),
+      "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+/// Seeded pseudo-random message of `size` bytes.
+std::string random_message(Rng& rng, std::size_t size) {
+  std::string message(size, '\0');
+  for (auto& c : message) c = static_cast<char>(rng.below(256));
+  return message;
+}
+
+TEST(Hash, Sha256PortableKernelNistVectors) {
+  expect_nist_vectors(&sha256_kernels::blocks_portable);
+}
+
+#if defined(__x86_64__)
+
+/// Skips the calling test on CPUs without the SHA extensions.
+#define SKIP_WITHOUT_SHANI()                                              \
+  if (!sha256_kernels::shani_supported()) {                               \
+    GTEST_SKIP() << "CPU lacks the sha flag; SHA-NI kernel not runnable"; \
+  }
+
+TEST(Hash, Sha256ShaniKernelNistVectors) {
+  SKIP_WITHOUT_SHANI();
+  expect_nist_vectors(&sha256_kernels::blocks_shani);
+}
+
+// Differential: every message length across 0..1100 bytes (every padding
+// case, 1 to 18 blocks) digests identically under both kernels.
+TEST(Hash, Sha256ShaniKernelMatchesPortableAtEveryLength) {
+  SKIP_WITHOUT_SHANI();
+  Rng rng(0x5AA256);
+  const std::string message = random_message(rng, 1100);
+  for (std::size_t len = 0; len <= message.size(); ++len) {
+    const std::string prefix = message.substr(0, len);
+    ASSERT_EQ(kernel_sha256_hex(&sha256_kernels::blocks_shani, prefix),
+              kernel_sha256_hex(&sha256_kernels::blocks_portable, prefix))
+        << "length " << len;
+  }
+}
+
+#else
+
+TEST(Hash, Sha256ShaniKernelNistVectors) {
+  GTEST_SKIP() << "SHA-NI kernel is x86-64 only";
+}
+
+TEST(Hash, Sha256ShaniKernelMatchesPortableAtEveryLength) {
+  GTEST_SKIP() << "SHA-NI kernel is x86-64 only";
+}
+
+#endif
+
+// Sha256 (whichever kernel this CPU selected) under seeded random update()
+// chunkings agrees with the portable kernel on the whole message.
+TEST(Hash, Sha256RandomChunkingsMatchPortableKernel) {
+  Rng rng(0xC4C4);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string message = random_message(rng, rng.below(1101));
+    Sha256 hasher;
+    std::size_t at = 0;
+    while (at < message.size()) {
+      const std::size_t take =
+          std::min<std::size_t>(message.size() - at, rng.below(200));
+      hasher.update(std::string_view(message).substr(at, take));
+      at += take;
+    }
+    ASSERT_EQ(hasher.digest().hex(),
+              kernel_sha256_hex(&sha256_kernels::blocks_portable, message))
+        << "trial " << trial << ", length " << message.size();
+  }
 }
 
 // The weak-fingerprint regression (ISSUE 7): 64-bit FNV-1a collisions are

@@ -31,6 +31,7 @@
 #include "appgen/corpus.hpp"
 #include "appgen/generator.hpp"
 #include "core/report_json.hpp"
+#include "digest_checks.hpp"
 #include "driver/corpus_runner.hpp"
 #include "driver/sandbox.hpp"
 #include "support/fault.hpp"
@@ -559,6 +560,10 @@ void check_matches_thread_mode_at_any_worker_count(std::uint32_t recycle) {
       EXPECT_EQ(pooled.outcomes[i].attempts, golden.outcomes[i].attempts);
     }
     expect_same_counts(pooled.stats, golden.stats);
+    // Decoded pool responses carry the digest of their own bytes, so the
+    // dedup reduce over them matches thread mode.
+    EXPECT_GT(expect_binary_digests_match_bytes(pooled), 0u);
+    expect_same_dedup(pooled.dedup, golden.dedup);
   }
 }
 
