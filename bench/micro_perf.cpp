@@ -11,9 +11,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <ctime>
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/decompiler.hpp"
@@ -488,6 +490,14 @@ void BM_DedupAbsorb(benchmark::State& state) {
 }
 BENCHMARK(BM_DedupAbsorb)->Unit(benchmark::kMicrosecond);
 
+/// CPU time consumed so far by every thread of this process, in ms.
+double process_cpu_ms() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return 1e3 * static_cast<double>(ts.tv_sec) +
+         1e-6 * static_cast<double>(ts.tv_nsec);
+}
+
 /// Serial-vs-parallel corpus comparison, written to BENCH_corpus.json:
 /// wall time and apps/sec with 1 worker and with DYDROID_JOBS/hardware
 /// workers, plus a byte-identity check over every per-app JSON report.
@@ -507,15 +517,28 @@ void emit_corpus_bench_json() {
   // sample on a shared runner can lose to scheduler noise and report a
   // "slowdown" that no real campaign sees, and the outcomes are
   // deterministic either way.
+  // Each run also records process CPU ÷ wall: ≈ jobs when the workers ran
+  // side by side, ≈ 1 when the host time-shared them on one CPU — a
+  // wall-clock speedup alone cannot tell a slow runner from a busy host.
   driver::RunnerConfig parallel_config;  // jobs = DYDROID_JOBS / hardware
-  auto parallel = driver::CorpusRunner(pipeline, parallel_config).run(corpus);
+  const auto timed_parallel_run = [&] {
+    const double cpu_start = process_cpu_ms();
+    const support::Stopwatch clock;
+    auto result = driver::CorpusRunner(pipeline, parallel_config).run(corpus);
+    const double wall_ms = clock.elapsed_ms();
+    const double cpu_per_wall =
+        wall_ms > 0 ? (process_cpu_ms() - cpu_start) / wall_ms : 0.0;
+    return std::pair{std::move(result), cpu_per_wall};
+  };
+  auto best_parallel = timed_parallel_run();
   for (int rep = 1; rep < 3; ++rep) {
-    auto parallel_rep =
-        driver::CorpusRunner(pipeline, parallel_config).run(corpus);
-    if (parallel_rep.wall_ms < parallel.wall_ms) {
-      parallel = std::move(parallel_rep);
+    auto parallel_rep = timed_parallel_run();
+    if (parallel_rep.first.wall_ms < best_parallel.first.wall_ms) {
+      best_parallel = std::move(parallel_rep);
     }
   }
+  auto parallel = std::move(best_parallel.first);
+  const double parallel_cpu_per_wall = best_parallel.second;
 
   // Same serial run with the write-ahead journal on (docs/CHECKPOINT.md):
   // the overhead budget is <5% wall time. A single A/B pair is hostage to
@@ -783,6 +806,7 @@ void emit_corpus_bench_json() {
                " \"merge_overhead_pct\": %.2f, \"records\": %zu,"
                " \"max_shard_wall_ms\": %.2f, \"replayed_identical\": %s},\n"
                "  \"speedup\": %.3f,\n"
+               "  \"parallel_cpu_per_wall\": %.3f,\n"
                "  \"reports_identical\": %s\n"
                "}\n",
                scale, corpus.apps.size(),
@@ -800,18 +824,19 @@ void emit_corpus_bench_json() {
                merged_records, max_shard_wall_ms,
                shard_identical ? "true" : "false",
                parallel.wall_ms > 0 ? serial.wall_ms / parallel.wall_ms : 0.0,
-               identical ? "true" : "false");
+               parallel_cpu_per_wall, identical ? "true" : "false");
   std::fclose(f);
   std::printf(
       "\nBENCH_corpus.json: %zu apps, serial %.1f ms (%.0f apps/s), "
-      "parallel[%zu] %.1f ms (%.0f apps/s), speedup %.2fx, identical=%s, "
+      "parallel[%zu] %.1f ms (%.0f apps/s), speedup %.2fx "
+      "(CPU/wall %.2f), identical=%s, "
       "journal overhead %+.1f%%, isolation fork %+.1f%% / pool %+.1f%% "
       "(%.1fx faster than fork), cache warm %.2fx (hit rate %.0f%%), "
       "shard merge[%u] %.1f ms (identical=%s)\n",
       corpus.apps.size(), serial.wall_ms, serial_aps, parallel.threads,
       parallel.wall_ms, parallel_aps,
       parallel.wall_ms > 0 ? serial.wall_ms / parallel.wall_ms : 0.0,
-      identical ? "true" : "false", journal_overhead_pct,
+      parallel_cpu_per_wall, identical ? "true" : "false", journal_overhead_pct,
       isolation_overhead_pct, pool_overhead_pct, pool_speedup_vs_fork,
       warm_speedup, 100.0 * cache_hit_rate, kShards,
       merge_ms, shard_identical ? "true" : "false");

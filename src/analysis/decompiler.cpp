@@ -7,6 +7,11 @@ namespace dydroid::analysis {
 
 using support::Result;
 
+std::string Ir::smali() const {
+  return classes_dex.has_value() ? dex::disassemble(*classes_dex)
+                                 : std::string();
+}
+
 Result<Ir> decompile(const apk::ApkImage& image) {
   Ir ir;
   try {
@@ -15,9 +20,9 @@ Result<Ir> decompile(const apk::ApkImage& image) {
     ir.entries = image.file().entry_names();
     ir.classes_dex = image.file().read_classes_dex();
     if (ir.classes_dex.has_value()) {
-      // Disassembly applies the tooling-grade strictness (debug_info parse,
-      // full validation) that anti-decompilation packers target.
-      ir.smali = dex::disassemble(*ir.classes_dex);
+      // The tooling-grade debug_info parse that anti-decompilation packers
+      // target. read_classes_dex() has already validated the file.
+      dex::check_debug_info(*ir.classes_dex);
     }
   } catch (const support::ParseError& e) {
     return Result<Ir>::failure(std::string("decompile: ") + e.what());

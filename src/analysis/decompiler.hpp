@@ -1,11 +1,14 @@
 // Decompiler: the baksmali/apktool front-end of Figure 1. Unpacks a SimApk
 // and produces the intermediate representation (manifest + parsed dex +
-// smali text) consumed by the static filter and the obfuscation analyzer.
+// entry table) that the static filter, the rewriter and the obfuscation
+// analyzer read. The smali text is rendered only on demand (Ir::smali(),
+// `dydroid disasm`); no analysis reads it.
 //
 // Decompilation intentionally inherits the tooling's strictness: a poisoned
-// debug_info section (anti-decompilation) makes disassembly throw, and the
-// whole app is recorded as "failed reverse engineering" — the paper's 54
-// apps ("The decompiler crashes and does not generate the smali code").
+// debug_info section (anti-decompilation) fails the disassembler's check
+// (dex::check_debug_info), and the whole app is recorded as "failed reverse
+// engineering" — the paper's 54 apps ("The decompiler crashes and does not
+// generate the smali code").
 #pragma once
 
 #include <optional>
@@ -23,9 +26,12 @@ namespace dydroid::analysis {
 struct Ir {
   manifest::Manifest manifest;
   std::optional<dex::DexFile> classes_dex;  // absent if no classes.dex entry
-  std::string smali;                        // disassembly text ("" if no dex)
   std::vector<std::string> entries;         // package file table
   apk::ApkImage image;                      // shared parse of the container
+
+  /// Smali-like disassembly of classes_dex, rendered on each call ("" if
+  /// no dex).
+  [[nodiscard]] std::string smali() const;
 };
 
 /// Decompile an already-parsed APK image (the pipeline path — no re-parse).

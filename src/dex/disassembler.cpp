@@ -122,14 +122,18 @@ void disassemble_instruction(std::ostringstream& out, const DexFile& dex,
 
 }  // namespace
 
-std::string disassemble(const DexFile& dex) {
-  // Parse known extra sections first; this is the strictness the
-  // anti-decompilation poisoner exploits.
+void check_debug_info(const DexFile& dex) {
   for (const auto& extra : dex.extras()) {
     if (extra.name == kDebugInfoSection) {
       (void)parse_debug_info(extra.data);
     }
   }
+}
+
+std::string disassemble(const DexFile& dex) {
+  // Parse known extra sections first; this is the strictness the
+  // anti-decompilation poisoner exploits.
+  check_debug_info(dex);
   if (auto err = dex.validate()) {
     throw ParseError("disassemble: " + *err);
   }

@@ -19,9 +19,15 @@ struct DebugLine {
   std::uint32_t line = 0;
 };
 
-/// Disassemble to smali-like text. Throws support::ParseError if the file's
-/// debug_info section is malformed (anti-decompilation).
+/// Disassemble to smali-like text: check_debug_info, then validate(), then
+/// render. Throws support::ParseError if the file's debug_info section is
+/// malformed (anti-decompilation) or the file does not validate.
 std::string disassemble(const DexFile& dex);
+
+/// The tooling strictness the VM lacks: parse every debug_info extra
+/// section. Throws support::ParseError on a malformed one — the check
+/// anti-decompilation poison trips.
+void check_debug_info(const DexFile& dex);
 
 /// Name of the debug-info extra section.
 inline constexpr std::string_view kDebugInfoSection = "debug_info";

@@ -1,7 +1,6 @@
 #include "manifest/manifest.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "support/fault.hpp"
 #include "support/strings.hpp"
@@ -52,25 +51,38 @@ bool Manifest::has_component(std::string_view class_name) const {
 }
 
 std::string Manifest::to_text() const {
-  std::ostringstream out;
-  out << "<manifest package=\"" << package << "\" versionName=\""
-      << version_name << "\">\n";
-  out << "  <uses-sdk minSdkVersion=\"" << min_sdk << "\"/>\n";
+  std::string out;
+  out.reserve(128 + 48 * (permissions.size() + components.size()));
+  out += "<manifest package=\"";
+  out += package;
+  out += "\" versionName=\"";
+  out += version_name;
+  out += "\">\n  <uses-sdk minSdkVersion=\"";
+  out += std::to_string(min_sdk);
+  out += "\"/>\n";
   for (const auto& p : permissions) {
-    out << "  <uses-permission name=\"" << p << "\"/>\n";
+    out += "  <uses-permission name=\"";
+    out += p;
+    out += "\"/>\n";
   }
-  out << "  <application";
-  if (!application_name.empty()) out << " name=\"" << application_name << "\"";
-  out << ">\n";
+  out += "  <application";
+  if (!application_name.empty()) {
+    out += " name=\"";
+    out += application_name;
+    out += '"';
+  }
+  out += ">\n";
   for (const auto& c : components) {
-    out << "    <" << component_kind_name(c.kind) << " name=\"" << c.name
-        << "\"";
-    if (c.launcher) out << " launcher=\"true\"";
-    out << "/>\n";
+    out += "    <";
+    out += component_kind_name(c.kind);
+    out += " name=\"";
+    out += c.name;
+    out += '"';
+    if (c.launcher) out += " launcher=\"true\"";
+    out += "/>\n";
   }
-  out << "  </application>\n";
-  out << "</manifest>\n";
-  return out.str();
+  out += "  </application>\n</manifest>\n";
+  return out;
 }
 
 namespace {

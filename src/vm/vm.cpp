@@ -103,35 +103,31 @@ Value Vm::call_intrinsic(Intrinsic fn, const std::string& cls,
   return result;
 }
 
-RuntimeClass* Vm::load_class(LoaderState* loader, std::string_view name) {
+RuntimeClass* Vm::find_class(LoaderState* loader, std::string_view name) {
   if (loader == nullptr) loader = current_loader();
-  if (auto* cached = loader->cached(std::string(name))) return cached;
+  if (auto* cached = loader->cached(name)) return cached;
   // Parent-first delegation.
   if (loader->parent() != nullptr) {
-    // Recurse through parents without throwing.
-    RuntimeClass* from_parent = nullptr;
-    try {
-      from_parent = load_class(loader->parent(), name);
-    } catch (const VmException&) {
-      from_parent = nullptr;
+    if (auto* from_parent = find_class(loader->parent(), name)) {
+      return from_parent;
     }
-    if (from_parent != nullptr) return from_parent;
   }
   if (loader->type() == LoaderType::Boot) {
-    if (framework_->declares(name) || is_framework_class(name)) {
-      auto rt = std::make_unique<RuntimeClass>(std::string(name), nullptr,
-                                               nullptr, loader);
-      return loader->define(std::move(rt));
+    if (!framework_->declares(name) && !is_framework_class(name)) {
+      return nullptr;
     }
-    throw make_exception("ClassNotFoundException: " + std::string(name));
+    return loader->define(std::make_unique<RuntimeClass>(
+        std::string(name), nullptr, nullptr, loader));
   }
   const auto found = loader->find_local(name);
-  if (found.def == nullptr) {
-    throw make_exception("ClassNotFoundException: " + std::string(name));
-  }
-  auto rt = std::make_unique<RuntimeClass>(std::string(name), found.dex,
-                                           found.def, loader);
-  return loader->define(std::move(rt));
+  if (found.def == nullptr) return nullptr;
+  return loader->define(std::make_unique<RuntimeClass>(
+      std::string(name), found.dex, found.def, loader));
+}
+
+RuntimeClass* Vm::load_class(LoaderState* loader, std::string_view name) {
+  if (auto* rc = find_class(loader, name)) return rc;
+  throw make_exception("ClassNotFoundException: " + std::string(name));
 }
 
 RuntimeClass* Vm::resolve_app_method(RuntimeClass* start,
@@ -146,36 +142,26 @@ RuntimeClass* Vm::resolve_app_method(RuntimeClass* start,
     }
     const auto& super = rc->super_name();
     if (super.empty()) break;
-    try {
-      rc = load_class(rc->loader(), super);
-    } catch (const VmException&) {
-      break;
-    }
+    rc = find_class(rc->loader(), super);
   }
   *out = nullptr;
   return nullptr;
 }
 
 ObjRef Vm::instantiate(std::string_view class_name) {
-  RuntimeClass* rc = nullptr;
-  try {
-    rc = load_class(app_loader_, class_name);
-  } catch (const VmException&) {
-    // Packed apps (DEX encryption) declare components that only exist in a
-    // runtime-created loader: packers swizzle the component class loader, so
-    // component resolution falls through to loaders the app created.
-    for (const auto& loader : loaders_) {
-      if (loader->type() != LoaderType::RuntimeDex &&
-          loader->type() != LoaderType::RuntimePath) {
-        continue;
-      }
-      if (loader->find_local(class_name).def != nullptr) {
-        rc = load_class(loader.get(), class_name);
-        break;
-      }
+  RuntimeClass* rc = find_class(app_loader_, class_name);
+  // Packed apps (DEX encryption) declare components that only exist in a
+  // runtime-created loader: packers swizzle the component class loader, so
+  // component resolution falls through to loaders the app created.
+  for (std::size_t i = 0; rc == nullptr && i < loaders_.size(); ++i) {
+    auto* loader = loaders_[i].get();
+    if ((loader->type() == LoaderType::RuntimeDex ||
+         loader->type() == LoaderType::RuntimePath) &&
+        loader->find_local(class_name).def != nullptr) {
+      rc = find_class(loader, class_name);
     }
-    if (rc == nullptr) throw;
   }
+  if (rc == nullptr) rc = load_class(app_loader_, class_name);  // throws
   auto obj = make_object(class_name, rc);
   const dex::Method* init = nullptr;
   if (auto* owner = resolve_app_method(rc, "<init>", &init);
@@ -343,12 +329,7 @@ Value Vm::execute_body(RuntimeClass* cls, const dex::Method& method,
         continue;
       case Op::NewInstance: {
         const auto& name = dexf.string_at(ins.cls);
-        RuntimeClass* rt = nullptr;
-        try {
-          rt = load_class(cls->loader(), name);
-        } catch (const VmException&) {
-          rt = nullptr;
-        }
+        RuntimeClass* rt = find_class(cls->loader(), name);
         if (rt != nullptr && rt->is_framework()) rt = nullptr;
         if (rt == nullptr && !is_framework_class(name) &&
             !framework_->declares(name)) {
@@ -457,13 +438,8 @@ Value Vm::dispatch_invoke(RuntimeClass* caller_cls, const dex::DexFile& dexf,
         if (const auto fn = framework_->find(super, method_name)) {
           return call_intrinsic(fn, super, method_name, std::move(args));
         }
-        RuntimeClass* next = nullptr;
-        try {
-          next = load_class(rc->loader(), super);
-        } catch (const VmException&) {
-          break;
-        }
-        if (next->is_framework()) break;
+        RuntimeClass* next = find_class(rc->loader(), super);
+        if (next == nullptr || next->is_framework()) break;
         rc = next;
       }
     }
@@ -472,12 +448,7 @@ Value Vm::dispatch_invoke(RuntimeClass* caller_cls, const dex::DexFile& dexf,
 
   // InvokeStatic: app classes first (through the caller's loader), then
   // framework intrinsics.
-  RuntimeClass* rt = nullptr;
-  try {
-    rt = load_class(caller_cls->loader(), cls_name);
-  } catch (const VmException&) {
-    rt = nullptr;
-  }
+  RuntimeClass* rt = find_class(caller_cls->loader(), cls_name);
   if (rt != nullptr && !rt->is_framework()) {
     if (const auto* m = rt->def()->find_method(method_name)) {
       return invoke(rt, *m, std::move(args));

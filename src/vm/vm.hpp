@@ -120,8 +120,12 @@ class Vm {
                                      const std::string& optimized_dir,
                                      LoaderState* parent);
 
-  /// Resolve + load a class through a loader (parent-first delegation).
-  /// Throws VmException(ClassNotFound) on failure.
+  /// Resolve + load a class through a loader (parent-first delegation; a
+  /// null loader means current_loader()). Returns nullptr on a miss and
+  /// defines nothing: the no-throw probe every internal lookup uses.
+  RuntimeClass* find_class(LoaderState* loader, std::string_view name);
+  /// find_class for misses that reach app code: throws
+  /// VmException(ClassNotFoundException) on failure.
   RuntimeClass* load_class(LoaderState* loader, std::string_view name);
 
   /// Load a native library from an absolute path. System libraries

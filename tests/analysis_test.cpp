@@ -2,10 +2,14 @@
 // rewriter (permission injection + anti-repackaging), CFG construction.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "analysis/cfg.hpp"
 #include "analysis/decompiler.hpp"
 #include "analysis/rewriter.hpp"
+#include "appgen/faulty.hpp"
 #include "dex/builder.hpp"
+#include "dex/disassembler.hpp"
 #include "obfuscation/poison.hpp"
 
 namespace dydroid::analysis {
@@ -35,7 +39,7 @@ TEST(Decompiler, ProducesIr) {
   const auto& ir = result.value();
   EXPECT_EQ(ir.manifest.package, "com.sample.app");
   ASSERT_TRUE(ir.classes_dex.has_value());
-  EXPECT_NE(ir.smali.find(".class com.sample.app.Main"), std::string::npos);
+  EXPECT_NE(ir.smali().find(".class com.sample.app.Main"), std::string::npos);
   EXPECT_EQ(ir.entries.size(), 3u);
 }
 
@@ -60,7 +64,7 @@ TEST(Decompiler, ToleratesMissingDex) {
   const auto result = decompile(apk.serialize());
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result.value().classes_dex.has_value());
-  EXPECT_TRUE(result.value().smali.empty());
+  EXPECT_TRUE(result.value().smali().empty());
 }
 
 TEST(Decompiler, LocalBytecodeStoreDetection) {
@@ -76,6 +80,101 @@ TEST(Decompiler, LocalBytecodeStoreDetection) {
   bare.write_classes_dex(b.build());
   const auto without = decompile(bare.serialize());
   EXPECT_FALSE(has_local_bytecode_store(without.value()));
+}
+
+// decompile() runs only the debug_info check and renders smali on demand.
+// Differential against the full disassembly it used to run per app (parse,
+// read, dex::disassemble = check + validate + render): same verdict, same
+// error text, and Ir::smali() is the text disassemble() produced.
+struct ReferenceDecompile {
+  bool ok = false;
+  std::string error;
+  std::string smali;
+};
+
+ReferenceDecompile reference_decompile(const apk::ApkImage& image) {
+  try {
+    (void)image.file().read_manifest();
+    (void)image.file().entry_names();
+    const auto dexfile = image.file().read_classes_dex();
+    return {true, "", dexfile ? dex::disassemble(*dexfile) : std::string()};
+  } catch (const support::ParseError& e) {
+    return {false, std::string("decompile: ") + e.what(), ""};
+  }
+}
+
+/// Re-sign `apk_bytes` with its classes.dex passed through `edit`.
+support::Bytes with_dex(std::span<const std::uint8_t> apk_bytes,
+                        const std::function<void(dex::DexFile&)>& edit) {
+  auto apk = apk::ApkFile::deserialize(apk_bytes);
+  auto dexfile = *apk.read_classes_dex();
+  edit(dexfile);
+  apk.write_classes_dex(dexfile);
+  apk.sign("dev");
+  return apk.serialize();
+}
+
+TEST(Decompiler, MatchesFullDisassemblyOnCorruptAndPoisonedApps) {
+  appgen::CorpusConfig corpus_config;
+  corpus_config.scale = 0.002;
+  const auto clean = appgen::generate_corpus(corpus_config);
+  std::vector<support::Bytes> inputs;
+  for (const auto layer :
+       {appgen::CorruptionLayer::kContainer, appgen::CorruptionLayer::kManifest,
+        appgen::CorruptionLayer::kDex, appgen::CorruptionLayer::kCrcTrap}) {
+    appgen::FaultyCorpusConfig config;
+    config.fraction = 0.5;
+    config.layer = layer;
+    for (const auto& app : appgen::corrupt_corpus(clean, config).corpus.apps) {
+      inputs.push_back(app.apk.to_bytes());
+    }
+  }
+  // Poisoned dexes: the anti-decompilation poison, a truncated debug_info
+  // section, and a well-formed one (which must still decompile).
+  for (std::size_t i = 0; i < clean.apps.size(); i += 7) {
+    const auto& apk = clean.apps[i].apk;
+    if (!apk::ApkFile::deserialize(apk).get(apk::kClassesDexEntry)) continue;
+    inputs.push_back(with_dex(apk, [](dex::DexFile& d) {
+      obfuscation::poison_anti_decompilation(d);
+    }));
+    inputs.push_back(with_dex(apk, [](dex::DexFile& d) {
+      d.add_extra(dex::ExtraSection{std::string(dex::kDebugInfoSection),
+                                    support::to_bytes("\x02\x00")});
+    }));
+    inputs.push_back(with_dex(apk, [](dex::DexFile& d) {
+      d.add_extra(dex::ExtraSection{
+          std::string(dex::kDebugInfoSection),
+          dex::encode_debug_info({{0, 10}, {1, 11}})});
+    }));
+  }
+
+  std::size_t ok = 0;
+  std::size_t failed = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    apk::ApkImage image;
+    try {
+      image = apk::ApkImage::parse(support::Blob::copy_of(inputs[i]));
+    } catch (const support::ParseError& e) {
+      const auto result = decompile(inputs[i]);
+      ASSERT_FALSE(result.ok()) << "input " << i;
+      EXPECT_EQ(result.error(), std::string("decompile: ") + e.what());
+      ++failed;
+      continue;
+    }
+    const auto expected = reference_decompile(image);
+    const auto result = decompile(image);
+    ASSERT_EQ(result.ok(), expected.ok) << "input " << i;
+    if (result.ok()) {
+      EXPECT_EQ(result.value().smali(), expected.smali) << "input " << i;
+      ++ok;
+    } else {
+      EXPECT_EQ(result.error(), expected.error) << "input " << i;
+      ++failed;
+    }
+  }
+  // Both verdicts are exercised.
+  EXPECT_GT(ok, 10u);
+  EXPECT_GT(failed, 10u);
 }
 
 TEST(Rewriter, InjectsPermissionAndResigns) {

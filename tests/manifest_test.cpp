@@ -38,6 +38,36 @@ TEST(Manifest, TextRoundTrip) {
   EXPECT_FALSE(back.components[1].launcher);
 }
 
+TEST(Manifest, ToTextIsExact) {
+  // The serialized form is what the SimApk stores and what the report and
+  // perfbench digests hash: pin it byte for byte.
+  auto m = make_sample();
+  m.components.push_back(
+      Component{ComponentKind::Provider, "com.example.game.Data", false});
+  EXPECT_EQ(m.to_text(),
+            "<manifest package=\"com.example.game\" versionName=\"2.3\">\n"
+            "  <uses-sdk minSdkVersion=\"16\"/>\n"
+            "  <uses-permission name=\"android.permission.INTERNET\"/>\n"
+            "  <uses-permission "
+            "name=\"android.permission.READ_PHONE_STATE\"/>\n"
+            "  <application name=\"com.shield.Container\">\n"
+            "    <activity name=\"com.example.game.Main\" launcher=\"true\"/>\n"
+            "    <service name=\"com.example.game.Sync\"/>\n"
+            "    <receiver name=\"com.example.game.Boot\"/>\n"
+            "    <provider name=\"com.example.game.Data\"/>\n"
+            "  </application>\n"
+            "</manifest>\n");
+  Manifest bare;
+  bare.package = "a.b";
+  bare.min_sdk = -3;
+  EXPECT_EQ(bare.to_text(),
+            "<manifest package=\"a.b\" versionName=\"1.0\">\n"
+            "  <uses-sdk minSdkVersion=\"-3\"/>\n"
+            "  <application>\n"
+            "  </application>\n"
+            "</manifest>\n");
+}
+
 TEST(Manifest, EmptyApplicationNameOmitted) {
   Manifest m;
   m.package = "a.b";

@@ -2,6 +2,8 @@
 // stream instrumentation, native loading, reflection, budgets.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
 #include <thread>
 
 #include "dex/builder.hpp"
@@ -366,6 +368,158 @@ TEST_F(VmTest, DexClassLoaderLoadsFromApkContainer) {
                   .ok());
   auto main = vm_->instantiate("com.example.app.Main");
   EXPECT_EQ(vm_->call_method(main, "trigger").as_int(), 7);
+}
+
+// ---------------------------------------------------------------------------
+// Class resolution: internal probes are no-throw find_class() calls; a miss
+// reaches app code only as ClassNotFoundException, with the app's stack.
+// ---------------------------------------------------------------------------
+
+/// The VmException `f` throws, or nullopt if it returns normally.
+template <typename F>
+std::optional<VmException> thrown_by(F&& f) {
+  try {
+    f();
+  } catch (const VmException& e) {
+    return e;
+  }
+  return std::nullopt;
+}
+
+std::vector<std::string> frames_of(const StackTrace& trace) {
+  std::vector<std::string> out;
+  for (const auto& e : trace) out.push_back(e.class_name + "." + e.method_name);
+  return out;
+}
+
+TEST_F(VmTest, FindClassMissReturnsNullAndDefinesNothing) {
+  dex::DexBuilder b;
+  b.cls("com.example.app.Present").method("f", 1).return_void().done();
+  boot(b.build());
+  auto* app = vm_->app_loader();
+  EXPECT_EQ(vm_->find_class(app, "com.missing.Absent"), nullptr);
+  EXPECT_EQ(vm_->find_class(nullptr, "com.missing.Absent"), nullptr);
+  EXPECT_EQ(app->cached("com.missing.Absent"), nullptr);
+  EXPECT_EQ(vm_->boot_loader()->cached("com.missing.Absent"), nullptr);
+
+  // Hits resolve exactly as load_class does and are cached by the defining
+  // loader: app classes by the app loader, framework classes by boot.
+  auto* present = vm_->find_class(app, "com.example.app.Present");
+  ASSERT_NE(present, nullptr);
+  EXPECT_EQ(present->loader(), app);
+  EXPECT_EQ(vm_->load_class(app, "com.example.app.Present"), present);
+  EXPECT_EQ(app->cached("com.example.app.Present"), present);
+  auto* activity = vm_->find_class(app, "android.app.Activity");
+  ASSERT_NE(activity, nullptr);
+  EXPECT_TRUE(activity->is_framework());
+  EXPECT_EQ(activity->loader(), vm_->boot_loader());
+  EXPECT_EQ(app->cached("android.app.Activity"), nullptr);
+}
+
+TEST_F(VmTest, AppVisibleClassMissesKeepMessageAndTrace) {
+  dex::DexBuilder b;
+  auto cls = b.cls("com.example.app.E");
+  cls.static_method("for_name", 0)
+      .const_str(0, "com.missing.ByName")
+      .invoke_static("java.lang.Class", "forName", {0})
+      .done();
+  cls.static_method("new_instance", 0)
+      .new_instance(0, "com.missing.Clazz")
+      .done();
+  auto load = cls.static_method("load_class", 0);
+  load.const_str(0, "/data/data/com.example.app/files/p.dex");
+  load.const_str(1, "");
+  load.new_instance(2, "dalvik.system.DexClassLoader");
+  load.invoke_virtual("dalvik.system.DexClassLoader", "<init>", {2, 0, 1});
+  load.const_str(3, "com.missing.ByLoader");
+  load.invoke_virtual("dalvik.system.DexClassLoader", "loadClass", {2, 3});
+  load.done();
+  boot(b.build());
+  ASSERT_TRUE(device_.vfs()
+                  .write_file(os::Principal::system(),
+                              "/data/data/com.example.app/files/p.dex",
+                              payload_dex_bytes())
+                  .ok());
+
+  struct Case {
+    const char* what;
+    std::function<void()> run;
+    std::string message;
+    std::vector<std::string> trace;
+  };
+  const std::vector<Case> cases = {
+      {"Class.forName",
+       [&] { (void)vm_->call_static("com.example.app.E", "for_name"); },
+       "ClassNotFoundException: com.missing.ByName",
+       {"java.lang.Class.forName", "com.example.app.E.for_name"}},
+      {"ClassLoader.loadClass",
+       [&] { (void)vm_->call_static("com.example.app.E", "load_class"); },
+       "ClassNotFoundException: com.missing.ByLoader",
+       {"dalvik.system.DexClassLoader.loadClass",
+        "com.example.app.E.load_class"}},
+      {"NewInstance",
+       [&] { (void)vm_->call_static("com.example.app.E", "new_instance"); },
+       "ClassNotFoundException: com.missing.Clazz",
+       {"com.example.app.E.new_instance"}},
+      {"call_static",
+       [&] { (void)vm_->call_static("com.missing.Static", "f"); },
+       "ClassNotFoundException: com.missing.Static",
+       {}},
+      {"instantiate",
+       [&] { (void)vm_->instantiate("com.missing.Component"); },
+       "ClassNotFoundException: com.missing.Component",
+       {}},
+  };
+  for (const auto& c : cases) {
+    const auto e = thrown_by(c.run);
+    ASSERT_TRUE(e.has_value()) << c.what;
+    EXPECT_EQ(std::string(e->what()), c.message) << c.what;
+    EXPECT_EQ(frames_of(e->trace()), c.trace) << c.what;
+  }
+  // No probe left a class defined under a missing name.
+  for (const auto* name : {"com.missing.ByName", "com.missing.Clazz",
+                           "com.missing.Static", "com.missing.Component"}) {
+    EXPECT_EQ(vm_->app_loader()->cached(name), nullptr) << name;
+    EXPECT_EQ(vm_->boot_loader()->cached(name), nullptr) << name;
+  }
+}
+
+TEST_F(VmTest, PackedComponentInstantiatesFromRuntimeLoader) {
+  // A packer's component class exists only in the DEX its stub loads at
+  // runtime: instantiate() falls through to the app-created loader.
+  boot(loader_app("/data/data/com.example.app/files/p.dex"));
+  ASSERT_TRUE(device_.vfs()
+                  .write_file(os::Principal::system(),
+                              "/data/data/com.example.app/files/p.dex",
+                              payload_dex_bytes())
+                  .ok());
+  EXPECT_EQ(vm_->find_class(vm_->app_loader(), "com.payload.Impl"), nullptr);
+  const auto before = thrown_by([&] { (void)vm_->instantiate("com.payload.Impl"); });
+  ASSERT_TRUE(before.has_value());
+  EXPECT_STREQ(before->what(), "ClassNotFoundException: com.payload.Impl");
+
+  auto main = vm_->instantiate("com.example.app.Main");
+  ASSERT_EQ(vm_->call_method(main, "trigger").as_int(), 7);
+  auto impl = vm_->instantiate("com.payload.Impl");
+  ASSERT_NE(impl->rt_class(), nullptr);
+  EXPECT_EQ(impl->rt_class()->loader()->type(), LoaderType::RuntimeDex);
+  EXPECT_EQ(vm_->call_method(impl, "run").as_int(), 7);
+}
+
+TEST_F(VmTest, AppHandlerCatchesClassNotFoundFromForName) {
+  dex::DexBuilder b;
+  auto m = b.cls("com.example.app.E").static_method("probe", 0);
+  m.try_enter(0, "handler");
+  m.const_str(1, "com.missing.Optional");
+  m.invoke_static("java.lang.Class", "forName", {1});
+  m.try_exit();
+  m.const_str(0, "loaded");
+  m.label("handler");
+  m.ret(0);
+  m.done();
+  boot(b.build());
+  EXPECT_EQ(vm_->call_static("com.example.app.E", "probe").as_str(),
+            "ClassNotFoundException: com.missing.Optional");
 }
 
 TEST_F(VmTest, LoadingMissingFileThrows) {

@@ -566,7 +566,7 @@ int cmd_disasm(const Args& args) {
                  ir.error().c_str());
     return 1;
   }
-  std::printf("%s\n-- manifest --\n%s", ir.value().smali.c_str(),
+  std::printf("%s\n-- manifest --\n%s", ir.value().smali().c_str(),
               ir.value().manifest.to_text().c_str());
   return 0;
 }
